@@ -531,15 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
     )
-    p.add_argument(
-        "--protocol-report",
-        metavar="FUNCTION",
-        help=(
-            "instead of linting, dump the reconstructed per-role "
-            "communication protocol of the named comm-taking function "
-            "(plain or dotted name) as text/JSON"
-        ),
-    )
 
     return parser
 
@@ -973,7 +964,6 @@ def _cmd_lint(args) -> int:
         stats=args.stats,
         baseline=args.baseline,
         update_baseline=args.write_baseline,
-        protocol_report=args.protocol_report,
     )
 
 

@@ -15,10 +15,6 @@ rule      severity  checks
 MPI001    error     collective calls under ``comm.rank``-dependent branches
 MPI002    error     literal message tags in the reserved space (<= -1000)
 MPI003    error     payload names mutated after an eager ``send``/``isend``
-MPI004    error     point-to-point sends/recvs no peer rank ever matches
-MPI005    error     cyclic send/recv waits (deadlock, with per-role witness)
-MPI006    error     collective divergence across ranks (whole-program MPI001)
-MPI007    warning   receiver uses a payload type the sender never ships
 DET001    warning   ``random.*`` / ``np.random.*`` global-state calls
 PERF001   warning   compute loops in rank functions outside ``comm.timed()``
 PERF002   warning   per-element ``.tolist()`` loops on the overlap hot path
@@ -26,18 +22,10 @@ ARCH001   error     distributed kernel modules importing ``repro.mpi``
 PURE001   error     kernels mutating parameters/globals (interprocedural)
 PURE002   error     kernels reaching unseeded RNG, wall clock, or I/O
 ARCH002   error     ``register_stage`` kernel/merge contract violations
+MEM001    warning   partition kernels materializing a whole sharded store
+ROB001    error     broad ``except`` handlers that swallow the exception
+ROB002    error     ``while True`` + sleep poll loops with no escape
 ========  ========  =====================================================
-
-The MPI004-007 rules run a *protocol verifier*: ``repro.lint.cfg``
-lowers each communicator-taking function to a control-flow graph,
-``repro.lint.protocol`` abstractly interprets every root driver once
-per concrete rank at a small model size (folding ``comm.rank`` /
-``comm.size`` arithmetic, splicing helpers through the call graph),
-and a matching simulation of the resulting per-rank event traces
-yields unmatched messages, cyclic waits, and diverging collectives —
-with witnesses that name each role's blocking event.  Inspect a
-driver's reconstructed protocol with
-``repro lint <paths> --protocol-report FUNCTION``.
 
 The PURE/ARCH002 rules are *whole-program*: ``repro.lint.project``
 parses every linted file once, resolves imports into a package-level
@@ -56,23 +44,24 @@ code via :func:`lint_paths` / :func:`analyze_paths` /
 ``# noqa: RULEID`` comment; adopt a legacy tree's findings with
 ``--baseline`` and burn them down over time.
 
-The static pass pairs with a *runtime* sanitizer:
+The static pass pairs with a *runtime* sanitizer, which is the only
+check of point-to-point matching and deadlock:
 ``SimCluster(..., sanitize=True)`` fingerprints every payload at send
 and re-verifies it at receive (raising
 :class:`~repro.mpi.simcomm.PayloadMutationError` on a mutate-after-send
 race) and reports unconsumed mailbox messages at shutdown as
-:class:`~repro.mpi.simcomm.MessageLeakError`.
+:class:`~repro.mpi.simcomm.MessageLeakError`; a receive nobody feeds
+(a cyclic wait, or a collective only some ranks reach) times out as
+:class:`~repro.mpi.simcomm.DeadlockError` after ``deadlock_timeout``.
 """
 
 from repro.lint.cache import DEFAULT_CACHE, LintCache
-from repro.lint.cfg import CFG, build_cfg
 from repro.lint.context import FileContext
 from repro.lint.driver import (
     LintRun,
     LintStats,
     UsageError,
     analyze_paths,
-    build_project,
     format_findings,
     iter_python_files,
     lint_file,
@@ -82,13 +71,6 @@ from repro.lint.driver import (
 )
 from repro.lint.findings import Finding, Severity, finding_fingerprints
 from repro.lint.project import SUMMARY_VERSION, ProjectContext, summarize_file
-from repro.lint.protocol import (
-    CommEvent,
-    ProtocolAnalysis,
-    RootProtocol,
-    analyze_protocols,
-    format_protocol,
-)
 from repro.lint.registry import (
     ProjectRule,
     Rule,
@@ -105,14 +87,6 @@ __all__ = [
     "ProjectContext",
     "SUMMARY_VERSION",
     "summarize_file",
-    "CFG",
-    "build_cfg",
-    "CommEvent",
-    "RootProtocol",
-    "ProtocolAnalysis",
-    "analyze_protocols",
-    "format_protocol",
-    "build_project",
     "Finding",
     "Severity",
     "finding_fingerprints",

@@ -35,7 +35,6 @@ __all__ = [
     "lint_file",
     "analyze_paths",
     "lint_paths",
-    "build_project",
     "iter_python_files",
     "load_baseline",
     "write_baseline",
@@ -137,10 +136,6 @@ class LintStats:
     parses: int = 0
     cache_hits: int = 0
     project_functions: int = 0
-    #: wall time spent building/simulating protocols (MPI004–007).
-    protocol_seconds: float = 0.0
-    #: root SPMD drivers whose protocols were reconstructed.
-    protocol_drivers: int = 0
     rule_counts: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -155,8 +150,6 @@ class LintStats:
             f"cache hits:        {self.cache_hits} "
             f"({self.cache_hit_rate:.0%} hit rate)",
             f"project functions: {self.project_functions}",
-            f"protocol pass:     {self.protocol_seconds * 1000:.1f} ms "
-            f"over {self.protocol_drivers} driver(s)",
         ]
         if self.rule_counts:
             lines.append("findings by rule:")
@@ -213,8 +206,6 @@ def analyze_paths(
             if not entry.ctx.suppressed(fd.line, fd.rule)
         )
 
-    protocol_seconds = 0.0
-    protocol_drivers = 0
     if prules and summaries:
         project = ProjectContext(summaries)
         for rule in prules:
@@ -223,10 +214,6 @@ def analyze_paths(
                 if ctx is not None and ctx.suppressed(fd.line, fd.rule):
                     continue
                 findings.append(fd)
-        analysis = getattr(project, "_protocol_analysis", None)
-        if analysis is not None:
-            protocol_seconds = analysis.seconds
-            protocol_drivers = len(analysis.roots)
 
     findings.sort()
     counts: dict[str, int] = {}
@@ -237,8 +224,6 @@ def analyze_paths(
         parses=cache.parses - parses0,
         cache_hits=cache.hits - hits0,
         project_functions=sum(len(s.functions) for s in summaries),
-        protocol_seconds=protocol_seconds,
-        protocol_drivers=protocol_drivers,
         rule_counts=counts,
     )
     return LintRun(findings=findings, stats=stats)
@@ -251,27 +236,6 @@ def lint_paths(
 ) -> list[Finding]:
     """Findings of a whole-program lint (see :func:`analyze_paths`)."""
     return analyze_paths(paths, rules=rules, cache=cache).findings
-
-
-def build_project(
-    paths: Iterable[str | Path], cache: LintCache | None = None
-) -> ProjectContext:
-    """ProjectContext over every python file under ``paths``.
-
-    Used by ``--protocol-report`` (and tests) to reach the
-    whole-program analyses without running any rules; files come
-    through the same content-hash cache as :func:`analyze_paths`.
-    Raises :class:`UsageError` when a file does not parse.
-    """
-    cache = cache if cache is not None else DEFAULT_CACHE
-    summaries = []
-    for f in iter_python_files(paths):
-        try:
-            entry = cache.file_entry(str(f), f.read_text(encoding="utf-8"))
-        except SyntaxError as exc:
-            raise UsageError(f"cannot parse {f}: {exc.msg}") from exc
-        summaries.append(entry.summary)
-    return ProjectContext(summaries)
 
 
 # -- baselines --------------------------------------------------------------
@@ -332,24 +296,9 @@ def run(
     stats: bool = False,
     baseline: str | None = None,
     update_baseline: bool = False,
-    protocol_report: str | None = None,
 ) -> int:
     """CLI driver; prints findings and returns the process exit code."""
     stream = stream if stream is not None else sys.stdout
-    if protocol_report is not None:
-        from repro.lint.protocol import analyze_protocols, format_protocol
-
-        try:
-            project = build_project(paths)
-            proto = analyze_protocols(project).protocol_for(protocol_report)
-        except (UsageError, FileNotFoundError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        print(format_protocol(proto, fmt=fmt), file=stream)
-        return 0
     try:
         result = analyze_paths(paths)
         known = load_baseline(baseline) if baseline and not update_baseline else None

@@ -58,7 +58,7 @@ class TestEngineEquivalence:
             )
         ).find_overlaps(reads)
         processes = OverlapDetector(base).find_overlaps_processes(reads, n_workers=2)
-        cluster_results, _ = SimCluster(2, cost_model=FAST).run(
+        cluster_results, _ = SimCluster(2, cost_model=FAST, sanitize=True).run(
             OverlapDetector(base).find_overlaps_parallel, reads
         )
         expected = overlap_keys(vectorized)

@@ -79,7 +79,7 @@ class TestParallelAlignment:
         reads, _ = tiled_reads(genome_len=800)
         detector = OverlapDetector(OverlapConfig(min_overlap=50, n_subsets=4))
         serial = detector.find_overlaps(reads)
-        results, stats = SimCluster(n_ranks, cost_model=FAST).run(
+        results, stats = SimCluster(n_ranks, cost_model=FAST, sanitize=True).run(
             detector.find_overlaps_parallel, reads
         )
         key = lambda ovs: sorted((o.query, o.ref, o.length, o.identity) for o in ovs)

@@ -35,7 +35,7 @@ def divergent_sample():
 class TestVariantPipeline:
     def test_divergent_locus_forms_bubble_and_calls(self, divergent_sample):
         a, b, n_true, result = divergent_sample
-        cluster = SimCluster(4, cost_model=FAST)
+        cluster = SimCluster(4, cost_model=FAST, sanitize=True)
         results, _ = cluster.run(detect_variants, result.dag, max_variants_per_bubble=300)
         calls = results[0]
         snvs = [v for v in calls if v.kind == "snv"]
@@ -50,7 +50,7 @@ class TestVariantPipeline:
         a, b, _, result = divergent_sample
         from repro.sequence.dna import decode
 
-        cluster = SimCluster(4, cost_model=FAST)
+        cluster = SimCluster(4, cost_model=FAST, sanitize=True)
         results, _ = cluster.run(detect_variants, result.dag, max_variants_per_bubble=300)
         snvs = [v for v in results[0] if v.kind == "snv"]
         if not snvs:
@@ -81,6 +81,6 @@ class TestVariantPipeline:
             AssemblyConfig(n_partitions=2, run_trimming=False), cost_model=FAST
         )
         result = assembler.assemble(reads)
-        cluster = SimCluster(2, cost_model=FAST)
+        cluster = SimCluster(2, cost_model=FAST, sanitize=True)
         results, _ = cluster.run(detect_variants, result.dag)
         assert results[0] == []

@@ -43,10 +43,6 @@ class TestRegistry:
             "MPI001",
             "MPI002",
             "MPI003",
-            "MPI004",
-            "MPI005",
-            "MPI006",
-            "MPI007",
             "PERF001",
             "PERF002",
             "PURE001",

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from repro.mpi.cluster import SimCluster
-from repro.mpi.simcomm import MessageLeakError, PayloadMutationError
+from repro.mpi.simcomm import DeadlockError, MessageLeakError, PayloadMutationError
 from repro.mpi.timing import CommCostModel
 
 FAST = CommCostModel(alpha=1e-6, beta=1e-9)
@@ -98,7 +98,7 @@ class TestMessageLeak:
     def test_unconsumed_message_raises_at_shutdown(self):
         def fn(comm):
             if comm.rank == 0:
-                comm.send("orphan", dest=1, tag=7)  # noqa: MPI004 - deliberate leak fixture
+                comm.send("orphan", dest=1, tag=7)
 
         with pytest.raises(MessageLeakError, match=r"0->1 tag 7"):
             cluster(2, sanitize=True).run(fn)
@@ -106,7 +106,7 @@ class TestMessageLeak:
     def test_unconsumed_message_ignored_without_sanitize(self):
         def fn(comm):
             if comm.rank == 0:
-                comm.send("orphan", dest=1, tag=7)  # noqa: MPI004 - deliberate leak fixture
+                comm.send("orphan", dest=1, tag=7)
 
         cluster(2).run(fn)  # no error: leak detection is opt-in
 
@@ -115,9 +115,164 @@ class TestMessageLeak:
 
         def fn(comm):
             if comm.rank == 0:
-                comm.send("x", dest=1)  # noqa: MPI004 - deliberate leak fixture
+                comm.send("x", dest=1)
                 raise ValueError("boom")
             comm.advance(0.0)  # rank 1 exits without receiving
 
         with pytest.raises(RuntimeError, match="boom"):
             cluster(2, sanitize=True).run(fn)
+
+
+# -- protocol scenarios ------------------------------------------------------
+#
+# Point-to-point and collective mistakes that only show across ranks: a
+# send no rank receives, a receive no rank feeds, cyclic waits, a
+# collective only some ranks reach, and a payload the receiver uses as
+# the wrong type.  The sanitizer, with a short deadlock timeout, is the
+# check that catches each of them.
+
+SCENARIO_TIMEOUT = 0.5
+
+
+def orphan_send(comm):
+    """Rank 0 ships a message rank 1 never collects."""
+    if comm.rank == 0:
+        comm.send([1, 2, 3], dest=1, tag=3)
+    return comm.rank
+
+
+def starved_recv(comm):
+    """Rank 1 waits for a message no rank ever sends."""
+    if comm.rank == 1:
+        return comm.recv(source=0, tag=9)
+    return None
+
+
+def pairwise_swap(comm):
+    """Ranks 0 and 1 both post their recv first: head-to-head wait."""
+    if comm.rank == 0:
+        got = comm.recv(source=1)
+        comm.send("from-zero", dest=1)
+    elif comm.rank == 1:
+        got = comm.recv(source=0)
+        comm.send("from-one", dest=0)
+    else:
+        got = None
+    return got
+
+
+def ring_exchange(comm):
+    """Every rank receives from the left before sending right."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    incoming = comm.recv(source=left)
+    comm.send(incoming, dest=right)
+    return incoming
+
+
+def sync_lengths(comm, counts):
+    """Every rank must call this together: it runs an allgather."""
+    return comm.allgather(len(counts))
+
+
+def skewed_driver(comm, items):
+    """Only rank 0 reaches the helper's collective."""
+    if comm.rank == 0:
+        sizes = sync_lengths(comm, items)
+    else:
+        sizes = None
+    return sizes
+
+
+def per_item_reduce(comm, items):
+    """A reduce per local item: the trip count differs across ranks."""
+    totals = []
+    for chunk in items[comm.rank]:
+        totals.append(comm.reduce(len(chunk), root=0))
+    return totals
+
+
+def ship_flags(comm):
+    """Rank 0 sends a dict; rank 1 uses it as a list."""
+    if comm.rank == 0:
+        comm.send({"trim": True}, dest=1)
+        return None
+    if comm.rank == 1:
+        flags = comm.recv(source=0)
+        flags.append("done")
+        return flags
+    return None
+
+
+def reduce_step(comm, value):
+    total = comm.gather(value, root=0)
+    if comm.rank == 0:
+        merged = sum(total)
+    else:
+        merged = None
+    return comm.bcast(merged, root=0)
+
+
+def clean_driver(comm):
+    """Matched ring exchange followed by a symmetric gather + bcast."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    token = comm.sendrecv({"origin": comm.rank}, dest=right, source=left)
+    token.update({"hops": 1})
+    return reduce_step(comm, len(token))
+
+
+class TestProtocolScenarios:
+    @pytest.mark.parametrize(
+        "fn, n_ranks, args",
+        [
+            pytest.param(starved_recv, 2, (), id="starved_recv"),
+            pytest.param(pairwise_swap, 2, (), id="pairwise_swap"),
+            pytest.param(ring_exchange, 3, (), id="ring_exchange"),
+            pytest.param(skewed_driver, 2, ([1, 2],), id="skewed_driver"),
+            # the root has more items than rank 1: its second recv starves
+            pytest.param(
+                per_item_reduce, 2, ([["a", "b"], ["c"]],), id="per_item_reduce"
+            ),
+        ],
+    )
+    def test_blocked_receive_raises_deadlock(self, fn, n_ranks, args):
+        sim = cluster(n_ranks, sanitize=True, deadlock_timeout=SCENARIO_TIMEOUT)
+        with pytest.raises(RuntimeError, match="failed") as exc_info:
+            sim.run(fn, *args)
+        cause = exc_info.value.__cause__
+        assert isinstance(cause, DeadlockError)
+        assert "timed out receiving" in str(cause)
+
+    @pytest.mark.parametrize(
+        "fn, args, leak",
+        [
+            pytest.param(
+                orphan_send, (), r"rank 0->1 tag 3: 1 message", id="orphan_send"
+            ),
+            # rank 1 has more items than the root: its extra send is never read
+            pytest.param(
+                per_item_reduce,
+                ([["a"], ["b", "c"]],),
+                r"rank 1->0 tag -1005: 1 message",
+                id="per_item_reduce",
+            ),
+        ],
+    )
+    def test_unreceived_send_raises_leak(self, fn, args, leak):
+        sim = cluster(2, sanitize=True, deadlock_timeout=SCENARIO_TIMEOUT)
+        with pytest.raises(MessageLeakError, match=leak):
+            sim.run(fn, *args)
+
+    def test_payload_type_mismatch_surfaces_receiver_error(self):
+        sim = cluster(2, sanitize=True, deadlock_timeout=SCENARIO_TIMEOUT)
+        with pytest.raises(RuntimeError, match="rank 1 failed") as exc_info:
+            sim.run(ship_flags)
+        assert isinstance(exc_info.value.__cause__, AttributeError)
+        assert "append" in str(exc_info.value.__cause__)
+
+    @pytest.mark.parametrize("n_ranks", [2, 3, 4])
+    def test_clean_protocol_runs_clean(self, n_ranks):
+        sim = cluster(n_ranks, sanitize=True, deadlock_timeout=SCENARIO_TIMEOUT)
+        results, _ = sim.run(clean_driver)
+        assert results == [2 * n_ranks] * n_ranks

@@ -63,7 +63,7 @@ class TestPointToPoint:
 
     def test_self_send_rejected(self):
         def fn(comm):
-            comm.send(1, dest=comm.rank)  # noqa: MPI004 - deliberate self-send fixture
+            comm.send(1, dest=comm.rank)
 
         with pytest.raises(RuntimeError, match="rank 0 failed"):
             cluster(1).run(fn)
@@ -71,7 +71,7 @@ class TestPointToPoint:
     def test_deadlock_detected(self):
         def fn(comm):
             if comm.rank == 1:
-                comm.recv(source=0)  # noqa: MPI004 - deliberate deadlock fixture
+                comm.recv(source=0)
 
         with pytest.raises(RuntimeError, match="failed"):
             cluster(2, deadlock_timeout=0.2).run(fn)
@@ -316,7 +316,7 @@ class TestErrorContext:
         def fn(comm):
             if comm.rank == 1:
                 comm.advance(1.5)
-                comm.recv(source=0, tag=7)  # noqa: MPI004 - deliberate deadlock fixture
+                comm.recv(source=0, tag=7)
 
         with pytest.raises(RuntimeError, match="rank 1 failed") as ei:
             cluster(2, deadlock_timeout=0.2).run(fn)

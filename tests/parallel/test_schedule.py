@@ -1,5 +1,7 @@
 """Tests for LPT / round-robin work-unit scheduling."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -79,27 +81,44 @@ class TestLPT:
 
 class TestClusterScheduleImbalance:
     def test_lpt_improves_compute_balance(self):
-        # Virtual-time imbalance on the simulated cluster: LPT ownership
-        # must spread per-rank compute at least as evenly as round-robin
-        # striping (the gather/bcast at the end syncs the clocks, so the
-        # measured per-rank compute times carry the signal).
+        # Per-rank work on the simulated cluster, counted rather than
+        # timed: every subset pair a rank aligns inside
+        # find_overlaps_parallel adds its estimated cost (|Q|·|R|,
+        # self-pairs halved) to that rank.  On 4 equal subsets LPT
+        # spreads the 10 pairs perfectly; round-robin striping does not.
         reads, _ = tiled_reads(genome_len=4000, stride=20)
         detector = OverlapDetector(OverlapConfig(min_overlap=50, n_subsets=4))
+        pair_with_stats = detector._pair_with_stats
+        current = threading.local()
+        work: list[tuple[int, float]] = []
+
+        def counted(reads, query, ref, same_subset, **kw):
+            cost = subset_pair_costs([(0, int(not same_subset))], [query.size, ref.size])
+            work.append((current.rank, float(cost[0])))
+            return pair_with_stats(reads, query, ref, same_subset, **kw)
+
+        detector._pair_with_stats = counted
+
+        def rank_fn(comm, schedule):
+            current.rank = comm.rank
+            return detector.find_overlaps_parallel(comm, reads, schedule=schedule)
 
         def imbalance(schedule):
-            results, stats = SimCluster(4, cost_model=FAST).run(
-                detector.find_overlaps_parallel, reads, schedule=schedule
+            work.clear()
+            results, _ = SimCluster(4, cost_model=FAST, sanitize=True).run(
+                rank_fn, schedule
             )
-            compute = np.array(stats.compute_times)
-            return results[0], float(compute.max() / compute.mean())
+            assert len(work) == 10  # every subset pair aligned exactly once
+            owner = np.array([rank for rank, _ in work])
+            cost = np.array([c for _, c in work])
+            return results[0], assignment_imbalance(cost, owner, 4)
 
         lpt_result, lpt_imb = imbalance("lpt")
         rr_result, rr_imb = imbalance("round_robin")
         key = lambda ovs: sorted((o.query, o.ref, o.length, o.identity) for o in ovs)
         assert key(lpt_result) == key(rr_result)
-        # Estimated loads: LPT 1.0 vs round-robin 1.25 — allow measurement
-        # noise but require a real improvement.
-        assert lpt_imb < rr_imb
+        assert lpt_imb == pytest.approx(1.0)
+        assert rr_imb == pytest.approx(1.25)
 
     def test_unknown_schedule_rejected(self):
         reads, _ = tiled_reads(genome_len=600)
