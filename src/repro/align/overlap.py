@@ -9,7 +9,7 @@ span and its kind (suffix/prefix dovetail or containment) follow.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class Overlap:
 
 
 #: Stable numeric encoding of :class:`OverlapKind` used by the batch
-#: engine and the multiprocess wire format (index = code).
+#: verifier and the align task wire format (index = code).
 KIND_CODES: tuple[OverlapKind, ...] = (
     OverlapKind.EQUAL,
     OverlapKind.QUERY_CONTAINED,
@@ -88,13 +88,16 @@ KIND_CODES: tuple[OverlapKind, ...] = (
 
 _CODE_OF_KIND = {kind: code for code, kind in enumerate(KIND_CODES)}
 
+#: rows converted per ``tolist`` pass in :meth:`PackedOverlaps.to_overlaps`.
+_TO_OVERLAPS_SLICE = 8192
+
 
 @dataclass(frozen=True)
 class PackedOverlaps:
     """A batch of overlaps as parallel numpy columns.
 
     This is the native output of the vectorized verification pass and
-    the wire format of the multiprocess executor (seven flat arrays
+    the wire format of the align tasks (seven flat arrays
     pickle far cheaper than thousands of :class:`Overlap` objects).
     ``to_overlaps``/``from_overlaps`` round-trip exactly.
     """
@@ -124,6 +127,18 @@ class PackedOverlaps:
         )
 
     @classmethod
+    def concat(cls, batches: list["PackedOverlaps"]) -> "PackedOverlaps":
+        """One batch holding ``batches`` back to back, in order."""
+        if not batches:
+            return cls.empty()
+        return cls(
+            *(
+                np.concatenate([getattr(b, f.name) for b in batches])
+                for f in fields(cls)
+            )
+        )
+
+    @classmethod
     def from_overlaps(cls, overlaps: list[Overlap]) -> "PackedOverlaps":
         if not overlaps:
             return cls.empty()
@@ -140,26 +155,32 @@ class PackedOverlaps:
         )
 
     def to_overlaps(self) -> list[Overlap]:
-        return [
-            Overlap(
-                query=q,
-                ref=r,
-                q_start=qs,
-                r_start=rs,
-                length=ln,
-                identity=idt,
-                kind=KIND_CODES[kc],
+        # Slice by slice: ``tolist`` over a whole merged batch would
+        # hold seven lists of Python scalars alive next to the result.
+        out: list[Overlap] = []
+        for lo in range(0, len(self), _TO_OVERLAPS_SLICE):
+            rows = slice(lo, lo + _TO_OVERLAPS_SLICE)
+            out.extend(
+                Overlap(
+                    query=q,
+                    ref=r,
+                    q_start=qs,
+                    r_start=rs,
+                    length=ln,
+                    identity=idt,
+                    kind=KIND_CODES[kc],
+                )
+                for q, r, qs, rs, ln, idt, kc in zip(
+                    self.query[rows].tolist(),
+                    self.ref[rows].tolist(),
+                    self.q_start[rows].tolist(),
+                    self.r_start[rows].tolist(),
+                    self.length[rows].tolist(),
+                    self.identity[rows].tolist(),
+                    self.kind_code[rows].tolist(),
+                )
             )
-            for q, r, qs, rs, ln, idt, kc in zip(
-                self.query.tolist(),
-                self.ref.tolist(),
-                self.q_start.tolist(),
-                self.r_start.tolist(),
-                self.length.tolist(),
-                self.identity.tolist(),
-                self.kind_code.tolist(),
-            )
-        ]
+        return out
 
 
 def overlap_span(diagonal: int, len_q: int, len_r: int) -> tuple[int, int, int]:

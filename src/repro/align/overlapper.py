@@ -8,36 +8,52 @@ with enough votes are verified — by a fast ungapped identity check
 (exact for the substitution-only error model) or by banded
 Needleman–Wunsch.
 
-Two engines process a work unit:
+A work unit is processed in bulk: one
+:meth:`~repro.io.readset.ReadSet.kmer_table` + ``lookup`` for *all*
+query reads of the subset, a single sort/group-by over
+``(query, ref, diagonal)`` to produce every candidate at once, and a
+batched verification pass that evaluates all overlap spans and their
+ungapped Hamming identities in one numpy sweep (``banded_nw`` still
+verifies per candidate).
 
-- ``engine="vectorized"`` (default): one bulk
-  :meth:`~repro.io.readset.ReadSet.kmer_table` + ``lookup`` for *all*
-  query reads of the subset, a single lexsort/group-by over
-  ``(query, ref, diagonal)`` to produce every candidate at once, and a
-  batched verification pass that evaluates all overlap spans and their
-  ungapped Hamming identities in one numpy sweep (``banded_nw`` still
-  verifies per candidate).
-- ``engine="loop"``: the legacy per-query-read engine, kept for one
-  release as the reference implementation and benchmark baseline.
-
-Both engines produce identical overlap lists; so do the serial,
-multiprocess (:meth:`OverlapDetector.find_overlaps_processes`) and
-simulated-MPI (:meth:`OverlapDetector.find_overlaps_parallel`) drivers.
+The align stage is one :class:`~repro.distributed.stages.StageSpec`
+(:data:`ALIGN_STAGE`) over an :class:`AlignTasks` context: a kernel per
+subset pair returning ``(PackedOverlaps, n_candidates)`` and a merge
+that concatenates results in canonical :func:`subset_pairs` order.  The
+three drivers run that one kernel on the shared execution backends:
+:meth:`OverlapDetector.find_overlaps` on the serial backend,
+:meth:`OverlapDetector.find_overlaps_processes` on the process backend
+(through :func:`repro.parallel.executor.run_subset_pairs`), and
+:meth:`OverlapDetector.find_overlaps_parallel` through the SPMD stage
+driver on a simulated cluster.  All three return the same overlaps.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.align.banded_nw import banded_align
 from repro.align.kmer_index import KmerIndex, compress_queries
-from repro.align.overlap import Overlap, PackedOverlaps, classify_overlap, overlap_span
+from repro.align.overlap import Overlap, PackedOverlaps
+from repro.distributed.stages import StageSpec, run_stage_on_comm
 from repro.io.readset import ReadSet
-from repro.sequence.dna import hamming_identity
+from repro.parallel.backend import SerialBackend
+from repro.parallel.schedule import (
+    lpt_assignment,
+    round_robin_assignment,
+    subset_pair_costs,
+)
 
-__all__ = ["OverlapConfig", "OverlapDetector", "subset_pairs"]
+__all__ = [
+    "ALIGN_STAGE",
+    "AlignTasks",
+    "OverlapConfig",
+    "OverlapDetector",
+    "subset_pairs",
+]
 
 
 def subset_pairs(n_subsets: int) -> list[tuple[int, int]]:
@@ -95,9 +111,6 @@ class OverlapConfig:
     index: str = "kmer"
     band: int = 5
     n_subsets: int = 1
-    #: work-unit engine: "vectorized" (batched, default) or "loop"
-    #: (legacy per-query engine, kept for one release).
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -114,8 +127,6 @@ class OverlapConfig:
             raise ValueError(f"unknown index structure {self.index!r}")
         if self.n_subsets < 1:
             raise ValueError("n_subsets must be >= 1")
-        if self.engine not in ("vectorized", "loop"):
-            raise ValueError(f"unknown overlap engine {self.engine!r}")
 
 
 class OverlapDetector:
@@ -124,129 +135,24 @@ class OverlapDetector:
     def __init__(self, config: OverlapConfig | None = None) -> None:
         self.config = config or OverlapConfig()
         #: candidates sent to verification by the most recent
-        #: ``find_overlaps``/``find_overlaps_processes`` call (serial
-        #: accounting only; the sim-MPI driver does not update it).
+        #: ``find_overlaps*`` call, whichever driver ran it.
         self.last_candidates = 0
 
-    # -- legacy per-query engine (engine="loop") ---------------------------
+    # -- one work unit -----------------------------------------------------
 
-    def _candidates(
-        self, reads: ReadSet, query: int, index: KmerIndex, same_subset: bool
-    ) -> list[tuple[int, int, int]]:
-        """(ref_read, diagonal, votes) candidates for one query read.
-
-        In same-subset mode only references with a larger index are
-        considered, so each unordered read pair is evaluated once.
-        """
-        cfg = self.config
-        vals = reads.kmer_codes_of(query, cfg.k)
-        qpos, hit_reads, hit_offsets = index.lookup(vals)
-        if qpos.size == 0:
-            return []
-        keep = hit_reads > query if same_subset else hit_reads != query
-        qpos, hit_reads, hit_offsets = qpos[keep], hit_reads[keep], hit_offsets[keep]
-        if qpos.size == 0:
-            return []
-        diag = qpos - hit_offsets
-        order = np.lexsort((diag, hit_reads))
-        r, d = hit_reads[order], diag[order]
-        boundary = np.ones(r.size, dtype=bool)
-        boundary[1:] = (r[1:] != r[:-1]) | (d[1:] != d[:-1])
-        starts = np.flatnonzero(boundary)
-        counts = np.diff(np.append(starts, r.size))
-        g_reads, g_diags = r[starts], d[starts]
-        strong = counts >= cfg.min_kmer_hits
-        if not strong.any():
-            return []
-        g_reads, g_diags, counts = g_reads[strong], g_diags[strong], counts[strong]
-        # Keep the best-supported diagonal per reference read.
-        order = np.lexsort((counts, g_reads))
-        g_reads, g_diags, counts = g_reads[order], g_diags[order], counts[order]
-        last = np.ones(g_reads.size, dtype=bool)
-        last[:-1] = g_reads[1:] != g_reads[:-1]
-        return list(
-            zip(g_reads[last].tolist(), g_diags[last].tolist(), counts[last].tolist())
-        )
-
-    def _verify(
-        self, reads: ReadSet, query: int, ref: int, diagonal: int
-    ) -> Overlap | None:
-        cfg = self.config
-        len_q, len_r = reads.length_of(query), reads.length_of(ref)
-        q_start, r_start, length = overlap_span(diagonal, len_q, len_r)
-        if length < cfg.min_overlap:
-            return None
-        q_seg = reads.codes_of(query)[q_start : q_start + length]
-        r_seg = reads.codes_of(ref)[r_start : r_start + length]
-        if cfg.method == "ungapped":
-            identity = hamming_identity(q_seg, r_seg)
-            aln_length = length
-        else:
-            result = banded_align(q_seg, r_seg, band=cfg.band)
-            identity = result.identity
-            aln_length = result.length
-        if identity < cfg.min_identity or aln_length < cfg.min_overlap:
-            return None
-        kind = classify_overlap(q_start, r_start, length, len_q, len_r)
-        return Overlap(
-            query=query,
-            ref=ref,
-            q_start=q_start,
-            r_start=r_start,
-            length=length,
-            identity=identity,
-            kind=kind,
-        )
-
-    def overlap_subset_pair_loop(
-        self,
-        reads: ReadSet,
-        query_indices: np.ndarray,
-        ref_indices: np.ndarray,
-        same_subset: bool,
-        index=None,
-    ) -> tuple[list[Overlap], int]:
-        """Legacy work-unit engine: one Python iteration per query read."""
-        if index is None:
-            index = self._build_index(reads, ref_indices)
-        overlaps: list[Overlap] = []
-        n_candidates = 0
-        for q in np.asarray(query_indices).tolist():  # noqa: PERF002 - legacy engine
-            for ref, diag, _votes in self._candidates(reads, q, index, same_subset):
-                n_candidates += 1
-                ov = self._verify(reads, q, ref, diag)
-                if ov is not None:
-                    overlaps.append(ov)
-        return overlaps, n_candidates
-
-    # -- vectorized engine (engine="vectorized") ---------------------------
-
-    def _pair_candidates_vectorized(
-        self,
-        reads: ReadSet,
-        query_indices: np.ndarray,
-        ref_indices: np.ndarray,
-        same_subset: bool,
-        index=None,
-        query_batch=None,
+    def _pair_candidates(
+        self, index, query_batch, same_subset: bool
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All (query, ref, diagonal) candidates of a work unit at once.
 
-        One concatenated index lookup for every query read's k-mers,
-        then a single sort/group-by over ``(query, ref, diagonal)``
-        replaces the per-query voting loop.  Selection is identical to
-        the legacy engine: candidates need ``min_kmer_hits`` votes and
-        only the best-supported diagonal per read pair survives (ties
-        resolved toward the larger diagonal, matching the legacy
-        stable-sort behaviour).  ``query_batch`` optionally supplies a
-        prebuilt :meth:`_query_batch` for the query subset, reused
-        across the work units that share it.
+        One concatenated index lookup for every k-mer of the query
+        subset (``query_batch``, from :meth:`_query_batch`), then a
+        single sort/group-by over ``(query, ref, diagonal)`` produces
+        every voted candidate.  Candidates need ``min_kmer_hits`` votes
+        and only the best-supported diagonal per read pair survives
+        (ties resolved toward the larger diagonal).
         """
         cfg = self.config
-        if index is None:
-            index = self._build_index(reads, ref_indices)
-        if query_batch is None:
-            query_batch = self._query_batch(reads, query_indices)
         vals, kmer_read, kmer_off, compressed = query_batch
         if isinstance(index, KmerIndex):
             qpos, hit_reads, hit_offsets = index.lookup(vals, compressed=compressed)
@@ -387,39 +293,6 @@ class OverlapDetector:
             kind_code=kind_code,
         )
 
-    def overlap_subset_pair_packed(
-        self,
-        reads: ReadSet,
-        query_indices: np.ndarray,
-        ref_indices: np.ndarray,
-        same_subset: bool,
-        index=None,
-        query_batch=None,
-    ) -> tuple[PackedOverlaps, int]:
-        """One work unit in columnar form: (packed overlaps, candidates).
-
-        This is the multiprocess wire format — seven flat arrays
-        instead of thousands of :class:`Overlap` objects.  ``index``
-        and ``query_batch`` optionally supply a prebuilt
-        reference-subset index / query-subset k-mer batch so drivers
-        that touch one subset in several work units prepare it only
-        once.
-        """
-        if self.config.engine == "loop":
-            overlaps, n_candidates = self.overlap_subset_pair_loop(
-                reads, query_indices, ref_indices, same_subset, index=index
-            )
-            return PackedOverlaps.from_overlaps(overlaps), n_candidates
-        cand_q, cand_r, cand_d = self._pair_candidates_vectorized(
-            reads, query_indices, ref_indices, same_subset,
-            index=index, query_batch=query_batch,
-        )
-        if cand_q.size == 0:
-            return PackedOverlaps.empty(), 0
-        return self._verify_batch(reads, cand_q, cand_r, cand_d), int(cand_q.size)
-
-    # -- public API ---------------------------------------------------------
-
     def _build_index(self, reads: ReadSet, ref_indices: np.ndarray):
         if self.config.index == "suffix_array":
             from repro.align.sa_index import SuffixArrayReadIndex
@@ -433,34 +306,11 @@ class OverlapDetector:
         vals, kmer_read, kmer_off = reads.kmer_table(self.config.k, q_idx)
         return vals, kmer_read, kmer_off, compress_queries(vals)
 
-    def _pair_with_stats(
-        self,
-        reads: ReadSet,
-        query_indices: np.ndarray,
-        ref_indices: np.ndarray,
-        same_subset: bool,
-        index=None,
-        query_batch=None,
-    ) -> tuple[list[Overlap], int]:
-        if self.config.engine == "loop":
-            return self.overlap_subset_pair_loop(
-                reads, query_indices, ref_indices, same_subset, index=index
-            )
-        packed, n_candidates = self.overlap_subset_pair_packed(
-            reads, query_indices, ref_indices, same_subset,
-            index=index, query_batch=query_batch,
-        )
-        return packed.to_overlaps(), n_candidates
+    # -- drivers ------------------------------------------------------------
 
-    def overlap_subset_pair(
-        self,
-        reads: ReadSet,
-        query_indices: np.ndarray,
-        ref_indices: np.ndarray,
-        same_subset: bool,
-    ) -> list[Overlap]:
-        """All overlaps between two read subsets (one work unit)."""
-        return self._pair_with_stats(reads, query_indices, ref_indices, same_subset)[0]
+    def _unpack(self, result: tuple[PackedOverlaps, int]) -> list[Overlap]:
+        packed, self.last_candidates = result
+        return packed.to_overlaps()
 
     def find_overlaps(self, reads: ReadSet) -> list[Overlap]:
         """All pairwise overlaps of a ReadSet (serial over subset pairs).
@@ -469,39 +319,18 @@ class OverlapDetector:
         work units that share them (subset ``j`` serves ``j + 1``
         pairs).
         """
-        subsets = reads.split(self.config.n_subsets)
-        overlaps: list[Overlap] = []
-        n_candidates = 0
-        vectorized = self.config.engine != "loop"
-        ref_indexes: dict[int, object] = {}
-        query_batches: dict[int, tuple] = {}
-        for i, j in subset_pairs(len(subsets)):
-            index = ref_indexes.get(j)
-            if index is None:
-                index = ref_indexes[j] = self._build_index(reads, subsets[j])
-            batch = None
-            if vectorized:
-                batch = query_batches.get(i)
-                if batch is None:
-                    batch = query_batches[i] = self._query_batch(reads, subsets[i])
-            part, nc = self._pair_with_stats(
-                reads, subsets[i], subsets[j], same_subset=(i == j),
-                index=index, query_batch=batch,
-            )
-            overlaps.extend(part)
-            n_candidates += nc
-        self.last_candidates = n_candidates
-        return overlaps
+        tasks = AlignTasks(self.config, reads)
+        return self._unpack(SerialBackend(tasks).run_stage(ALIGN_STAGE).result)
 
     def find_overlaps_processes(
         self, reads: ReadSet, n_workers: int
     ) -> list[Overlap]:
         """All pairwise overlaps using real OS processes (paper §II-B).
 
-        Subset pairs are farmed out to a ``ProcessPoolExecutor`` with
-        ``n_workers`` workers, assigned largest-first so big work units
-        start early.  Result-identical (including list order) to
-        :meth:`find_overlaps`.
+        Subset pairs run as tasks on the process backend with
+        ``n_workers`` workers, submitted largest-first, with the
+        backend's retry, respawn and serial fallback.  Result-identical
+        (including list order) to :meth:`find_overlaps`.
         """
         from repro.parallel.executor import run_subset_pairs
 
@@ -523,47 +352,97 @@ class OverlapDetector:
         Results match :meth:`find_overlaps` exactly (order aside) for
         any rank count and either schedule.
         """
-        from repro.parallel.schedule import (
-            lpt_assignment,
-            round_robin_assignment,
-            subset_pair_costs,
-        )
-
-        subsets = reads.split(self.config.n_subsets)
-        pairs = subset_pairs(len(subsets))
+        tasks = AlignTasks(self.config, reads)
         if schedule == "lpt":
-            costs = subset_pair_costs(pairs, np.array([s.size for s in subsets]))
-            owner = lpt_assignment(costs, comm.size)
+            owner = lpt_assignment(tasks.task_costs(), comm.size)
         elif schedule == "round_robin":
-            owner = round_robin_assignment(len(pairs), comm.size)
+            owner = round_robin_assignment(tasks.n_tasks, comm.size)
         else:
             raise ValueError(f"unknown schedule {schedule!r}")
-        local: list[Overlap] = []
-        vectorized = self.config.engine != "loop"
-        ref_indexes: dict[int, object] = {}
-        query_batches: dict[int, tuple] = {}
-        with comm.timed():
-            for task, (i, j) in enumerate(pairs):
-                if owner[task] != comm.rank:
-                    continue
-                index = ref_indexes.get(j)
-                if index is None:
-                    index = ref_indexes[j] = self._build_index(reads, subsets[j])
-                batch = None
-                if vectorized:
-                    batch = query_batches.get(i)
-                    if batch is None:
-                        batch = query_batches[i] = self._query_batch(
-                            reads, subsets[i]
-                        )
-                local.extend(
-                    self._pair_with_stats(
-                        reads, subsets[i], subsets[j], same_subset=(i == j),
-                        index=index, query_batch=batch,
-                    )[0]
-                )
-        gathered = comm.gather(local, root=0)
-        merged = None
-        if comm.rank == 0:
-            merged = [ov for part in gathered for ov in part]
-        return comm.bcast(merged, root=0)
+        return self._unpack(run_stage_on_comm(comm, ALIGN_STAGE, tasks, owner=owner))
+
+
+class AlignTasks:
+    """The align stage as a task context: one task per subset pair.
+
+    A forked worker rebuilds it from ``(config, reads)``, re-opening a
+    shard-backed read set so the worker reads shards through its own
+    cold cache instead of the parent's inherited one.  Align has no
+    mutable state.  Reference indexes and query k-mer batches are
+    memoised per thread, so a serial loop, a simulated rank or a pool
+    worker that draws several pairs sharing a subset prepares it once,
+    and never reuses one that another rank built.
+    """
+
+    state: tuple = ()
+
+    def __init__(self, config: OverlapConfig, reads: ReadSet) -> None:
+        self.detector = OverlapDetector(config)
+        self.reads = reads
+        self.subsets = reads.split(config.n_subsets)
+        self.pairs = subset_pairs(len(self.subsets))
+        self._memo = threading.local()
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.pairs)
+
+    def task_costs(self) -> np.ndarray:
+        """Estimated cost per pair: ``|Q|·|R|``, self-pairs halved."""
+        return subset_pair_costs(self.pairs, np.array([s.size for s in self.subsets]))
+
+    def worker_factory(self):
+        """A forked worker rebuilds its context from ``(config, reads)``."""
+        return _reopened_tasks, (self.detector.config, self.reads)
+
+    def _memoised(self, kind: str, key: int, build):
+        memo = self._memo.__dict__.setdefault(kind, {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def ref_index(self, j: int):
+        """The index of reference subset ``j`` (built once per thread)."""
+        return self._memoised(
+            "index", j, lambda: self.detector._build_index(self.reads, self.subsets[j])
+        )
+
+    def query_batch(self, i: int):
+        """The k-mer batch of query subset ``i`` (built once per thread)."""
+        return self._memoised(
+            "batch", i, lambda: self.detector._query_batch(self.reads, self.subsets[i])
+        )
+
+
+def _reopened_tasks(config: OverlapConfig, reads: ReadSet) -> AlignTasks:
+    """A worker's own align context, over its own view of the reads."""
+    if hasattr(reads, "reopen"):
+        reads = reads.reopen()
+    return AlignTasks(config, reads)
+
+
+def align_pair_kernel(tasks: AlignTasks, task: int) -> tuple[PackedOverlaps, int]:
+    """One subset pair (work unit): its packed overlaps and the number
+    of candidates verified.
+
+    Packed columns are the wire format between tasks and the merge —
+    seven flat arrays instead of thousands of :class:`Overlap` objects.
+    """
+    i, j = tasks.pairs[task]
+    detector = tasks.detector
+    cand_q, cand_r, cand_d = detector._pair_candidates(
+        tasks.ref_index(j), tasks.query_batch(i), same_subset=(i == j)
+    )
+    if cand_q.size == 0:
+        return PackedOverlaps.empty(), 0
+    return detector._verify_batch(tasks.reads, cand_q, cand_r, cand_d), int(cand_q.size)
+
+
+def merge_overlaps(tasks: AlignTasks, proposals) -> tuple[PackedOverlaps, int]:
+    """Concatenate per-pair results in canonical subset-pair order."""
+    packed = PackedOverlaps.concat([p for p, _ in proposals])
+    return packed, sum(n for _, n in proposals)
+
+
+#: the align stage; deliberately not registered with the finish stages.
+ALIGN_STAGE = StageSpec("align", align_pair_kernel, merge_overlaps)

@@ -61,7 +61,6 @@ from repro.core.focus import FocusAssembler
 from repro.core.stats import AssemblyStats
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.distributed.traversal import contigs_from_paths
-from repro.graph.sparse import HAVE_SCIPY
 from repro.parallel.backend import create_backend
 
 __all__ = [
@@ -455,7 +454,6 @@ def run_finish_bench(
             "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy_available": HAVE_SCIPY,
             "cpu_count": cpu_count,
             "workers": workers,
             "partitions": list(partitions),

@@ -187,12 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="worker processes (0/1 = serial in-process)",
     )
-    p.add_argument(
-        "--engine",
-        choices=("vectorized", "loop"),
-        default="vectorized",
-        help="vectorized batch engine or the legacy per-query loop",
-    )
     p.add_argument("--subsets", type=int, default=4, help="read-subset count")
     p.add_argument("--min-overlap", type=int, default=50)
     p.add_argument("--min-identity", type=float, default=0.9)
@@ -345,18 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
     b = bench_sub.add_parser(
         "overlap",
-        help="time the overlap engines (loop / vectorized / process)",
+        help="time the overlap drivers (serial / process)",
         description=(
-            "Times the legacy loop engine, the vectorized engine, and the "
-            "multiprocess driver on D1-D3, verifies all three produce "
-            "identical overlap sets, and writes the trajectory JSON.  "
-            "Exits nonzero if vectorized is slower than loop anywhere."
+            "Times the serial and the multiprocess overlap drivers on "
+            "D1-D3, verifies both produce identical overlap lists, and "
+            "writes the trajectory JSON.  Exits 2 if they disagree."
         ),
     )
     b.add_argument(
         "-o", "--output", default="BENCH_overlap.json", help="trajectory JSON path"
     )
-    b.add_argument("--workers", type=int, default=4, help="process-engine worker count")
+    b.add_argument("--workers", type=int, default=4, help="process-driver worker count")
     b.add_argument("--subsets", type=int, default=4, help="read-subset count")
     b.add_argument(
         "--datasets",
@@ -728,7 +721,6 @@ def _cmd_overlap(args) -> int:
         min_overlap=args.min_overlap,
         min_identity=args.min_identity,
         n_subsets=args.subsets,
-        engine=args.engine,
     )
     detector = OverlapDetector(config)
     t0 = time.perf_counter()
@@ -744,7 +736,7 @@ def _cmd_overlap(args) -> int:
                 f"{o.query}\t{o.ref}\t{o.q_start}\t{o.r_start}\t"
                 f"{o.length}\t{o.identity:.6f}\t{o.kind.value}\n"
             )
-    mode = f"{args.workers} workers" if args.workers > 1 else f"serial/{args.engine}"
+    mode = f"{args.workers} workers" if args.workers > 1 else "serial"
     print(
         f"found {len(overlaps):,} overlaps in {len(reads):,} reads "
         f"({mode}, {wall:.2f}s) -> {args.output}"

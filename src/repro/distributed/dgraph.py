@@ -10,7 +10,9 @@ contig-overlap length.
 ``DistributedAssemblyGraph`` wraps the enriched graph with partition
 ownership and alive-masks.  Workers only read; the master applies the
 removals they report (paper §V), so no locking is needed beyond the
-gather/apply barrier the algorithms already have.
+gather/apply barrier the algorithms already have.  It is the task
+context (:mod:`repro.distributed.stages`) of the finish stages: one
+task per partition, with the alive-masks as the shipped state.
 """
 
 from __future__ import annotations
@@ -129,6 +131,31 @@ class DistributedAssemblyGraph:
         # backend (master-side, or per worker after fork) so sequential
         # sparse-engine stages share the one sorted build.
         self._sparse: SparseStructure | None = None
+
+    # -- task context (repro.distributed.stages) ----------------------------
+
+    @property
+    def n_tasks(self) -> int:
+        """One finish task per partition."""
+        return self.n_parts
+
+    def task_costs(self) -> np.ndarray:
+        """Estimated kernel cost per partition: its alive-node count."""
+        labels = self.labels[self.node_alive]
+        return np.bincount(labels, minlength=self.n_parts).astype(np.float64)
+
+    def worker_factory(self):
+        """A forked worker rebuilds its view from the (CoW) assembly."""
+        return DistributedAssemblyGraph, (self.assembly, self.labels)
+
+    @property
+    def state(self) -> tuple[np.ndarray, np.ndarray]:
+        """The only state merges mutate: ``(node_alive, edge_alive)``."""
+        return self.node_alive, self.edge_alive
+
+    @state.setter
+    def state(self, value) -> None:
+        self.node_alive, self.edge_alive = value
 
     # -- sparse representation ---------------------------------------------
 

@@ -1,24 +1,38 @@
-"""Stage specifications: pure per-partition kernels plus master merges.
+"""Stage specifications: pure per-task kernels plus master merges.
 
-Every distributed graph-cleaning stage of paper §V decomposes into the
-same two halves:
+Every distributed graph-cleaning stage of paper §V, and the subset-pair
+read alignment of §II-B, decomposes into the same two halves:
 
-- a **kernel** — ``kernel(dag, part, **params)`` — reads one
-  partition's view of the :class:`~repro.distributed.dgraph.\
-DistributedAssemblyGraph` and returns *proposals* as plain numpy
-  arrays (edge ids to drop, node ids to trim, packed sub-paths).
-  Kernels never mutate the graph and never communicate, so they can be
-  executed anywhere: in-process, on a simulated MPI rank, or inside a
-  forked worker process.
-- a **merge** — ``merge(dag, proposals, **params)`` — runs on the
-  master, conflict-resolves the per-partition proposals (removals are
-  idempotent, so a union suffices; sub-paths are joined across
-  partition boundaries), mutates the alive-masks, and returns the
-  stage result.
+- a **kernel** — ``kernel(ctx, task, **params)`` — reads one task's
+  view of a bound *task context* and returns *proposals* as plain
+  picklable values (edge ids to drop, node ids to trim, packed
+  sub-paths, packed overlaps).  Kernels never mutate the context and
+  never communicate, so they can be executed anywhere: in-process, on
+  a simulated MPI rank, or inside a forked worker process.
+- a **merge** — ``merge(ctx, proposals, **params)`` — runs on the
+  master, receives the proposal list indexed by task id, applies it
+  (removals are idempotent, so a union suffices; sub-paths are joined
+  across partition boundaries; overlaps are concatenated) and returns
+  the stage result.
 
-The registry maps stage names to :class:`StageSpec` pairs; execution
-backends (:mod:`repro.parallel.backend`) look stages up by name so a
-forked worker can resolve the kernel without shipping code.
+A task context supplies what a backend needs to run its tasks:
+
+- ``n_tasks`` — how many tasks a stage has;
+- ``task_costs()`` — estimated cost per task, for LPT scheduling;
+- ``worker_factory()`` — ``(factory, args)`` with which a forked
+  worker rebuilds its own copy (``factory(*args)``);
+- ``state`` — the mutable state shipped with every task and
+  snapshotted for rollback (a tuple of arrays, possibly empty).
+
+:class:`~repro.distributed.dgraph.DistributedAssemblyGraph` is the
+context of the finish stages (one task per partition; its alive-masks
+are the state) and :class:`~repro.align.overlapper.AlignTasks` the
+context of the align stage (one task per subset pair; no state).
+
+The registry maps the finish-stage names to :class:`StageSpec` pairs;
+execution backends (:mod:`repro.parallel.backend`) look stages up by
+name.  Specs travel to forked workers by value (their kernels and
+merges are module-level functions, pickled by reference).
 
 Layering note: this module (and every kernel-defining module under
 ``repro.distributed``) must not import :mod:`repro.mpi` — enforced
@@ -52,10 +66,10 @@ ENGINES = ("loop", "sparse")
 class StageSpec:
     """One distributed stage as a (kernel, merge) pair.
 
-    ``kernel(dag, part, **params)`` must be a pure, deterministic,
-    module-level function returning picklable numpy proposals;
-    ``merge(dag, proposals, **params)`` receives the proposal list
-    indexed by partition id and applies it on the master's graph.
+    ``kernel(ctx, task, **params)`` must be a pure, deterministic,
+    module-level function returning picklable proposals;
+    ``merge(ctx, proposals, **params)`` receives the proposal list
+    indexed by task id and applies it on the master's context.
     ``sparse_kernel``, when present, is a drop-in vectorized kernel
     with the identical signature and proposal semantics, selected via
     the ``engine`` knob (:meth:`kernel_for`); the merge is shared.
@@ -152,22 +166,36 @@ def union_proposals(proposals) -> np.ndarray:
     return np.unique(np.concatenate(arrays))
 
 
-def run_stage_on_comm(comm, stage: StageSpec, dag, engine: str = "loop", **params):
+def run_stage_on_comm(
+    comm, stage: StageSpec, ctx, engine: str = "loop", owner=None, **params
+):
     """SPMD driver: run one stage on an MPI-style communicator.
 
-    Rank ``r`` executes the ``engine``-selected kernel for partition
-    ``r`` under the virtual clock, proposals are gathered to the root,
-    the root merges (also timed), and the result is broadcast — the
-    paper's scan-locally/apply-centrally pattern.  The communicator is
-    duck-typed (anything with ``rank``/``timed``/``gather``/``bcast``),
-    so this module stays free of :mod:`repro.mpi` imports.
+    ``owner[t]`` is the rank that runs task ``t``; by default rank
+    ``r`` runs task ``r`` (one partition per rank).  Each rank executes
+    its tasks' ``engine``-selected kernels under the virtual clock,
+    proposals are gathered to the root and put back in task order, the
+    root merges (also timed), and the result is broadcast — the paper's
+    scan-locally/apply-centrally pattern.  The communicator is
+    duck-typed (anything with ``rank``/``size``/``timed``/``gather``/
+    ``bcast``), so this module stays free of :mod:`repro.mpi` imports.
     """
     kernel = stage.kernel_for(engine)
+    owner = np.arange(comm.size) if owner is None else np.asarray(owner)
     with comm.timed():
-        proposal = kernel(dag, comm.rank, **params)
-    gathered = comm.gather(proposal, root=0)
+        local = [
+            kernel(ctx, task, **params)
+            for task in np.flatnonzero(owner == comm.rank).tolist()
+        ]
+    gathered = comm.gather(local, root=0)
     result = None
     if comm.rank == 0:
         with comm.timed():
-            result = stage.merge(dag, gathered, **params)
+            # Ranks report in rank order, each in task order: exactly
+            # the tasks sorted stably by owner.
+            proposals: list = [None] * owner.size
+            flat = [p for part in gathered for p in part]
+            for task, proposal in zip(np.argsort(owner, kind="stable").tolist(), flat):
+                proposals[task] = proposal
+            result = stage.merge(ctx, proposals, **params)
     return comm.bcast(result, root=0)

@@ -30,27 +30,14 @@ Two layers keep the per-stage cost incremental:
     (``indptr`` diffs), vectorized pair lookup, the right-directed
     (positive-delta) sub-adjacency, and boolean ``scipy.sparse``
     matrices for semiring products.
-
-``scipy`` is optional: :func:`boolean_product_keys` degrades to an
-exact pure-numpy expansion when it is missing, so the engine (and its
-equivalence tests) work on a numpy-only install; only the product
-prefilter speeds up.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:  # pragma: no cover - exercised through HAVE_SCIPY branches
-    import scipy.sparse as _sp
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is present on CI tier-1
-    _sp = None
-    HAVE_SCIPY = False
+import scipy.sparse as _sp
 
 __all__ = [
-    "HAVE_SCIPY",
     "SparseStructure",
     "SparseFinishView",
     "masked_view",
@@ -181,7 +168,7 @@ class SparseFinishView:
     # -- scipy matrices ----------------------------------------------------
 
     def adjacency_csr(self):
-        """Boolean symmetric alive adjacency (requires scipy)."""
+        """Boolean symmetric alive adjacency."""
         return _sp.csr_matrix(
             (
                 np.ones(self.src.size, dtype=np.int8),
@@ -202,28 +189,19 @@ def boolean_product_keys(
     The first hop is the given directed edge set (``rows[i] ->
     cols[i]``); the second hop is *any* alive edge of the view (either
     direction — delta tolerance is checked later on matched triples,
-    which may legally run slightly leftward).  With scipy this is the
-    boolean sparse product ``A_near @ A``; without it, an exact ragged
-    expansion of the same reachability set.
+    which may legally run slightly leftward): the boolean sparse
+    product ``A_near @ A``.
     """
     n = view.n_nodes
     if rows.size == 0:
         return np.empty(0, dtype=np.int64)
-    if HAVE_SCIPY:
-        a_near = _sp.csr_matrix(
-            (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
-        )
-        two_hop = a_near @ view.adjacency_csr()
-        two_hop.sort_indices()
-        hops = two_hop.tocoo()
-        return np.unique(hops.row.astype(np.int64) * n + hops.col.astype(np.int64))
-    # Exact numpy fallback: expand every (row -> col -> col's alive
-    # neighbour) triple through the view's CSR slices.
-    counts = view.degrees[cols]
-    mids = ragged_positions(view.indptr[cols], counts)
-    ends = view.dst[mids]
-    starts = np.repeat(rows, counts)
-    return np.unique(starts * n + ends)
+    a_near = _sp.csr_matrix(
+        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
+    )
+    two_hop = a_near @ view.adjacency_csr()
+    two_hop.sort_indices()
+    hops = two_hop.tocoo()
+    return np.unique(hops.row.astype(np.int64) * n + hops.col.astype(np.int64))
 
 
 def masked_view(dag) -> SparseFinishView:

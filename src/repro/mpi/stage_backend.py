@@ -10,9 +10,10 @@ virtual wall-clock (slowest rank), not real time.
 
 Fault tolerance: a rank failure poisons a whole SPMD run (the other
 ranks deadlock waiting on the dead peer), so the retry granularity
-here is the *stage attempt*, not the partition.  Before each attempt
-the alive-masks are snapshotted; on failure they are restored (a
-partially-applied merge never leaks into the retry) and the stage is
+here is the *stage attempt*, not the task.  Before each attempt the
+context's ``state`` (the alive-masks of a distributed graph) is
+snapshotted; on failure it is restored (a partially-applied merge
+never leaks into the retry) and the stage is
 re-run with the next attempt number.  Injected message faults
 (drop/duplicate/delay from the :class:`~repro.faults.FaultPlan`) are
 armed per attempt through the cluster's fault hook.  Once the retry
@@ -38,14 +39,14 @@ __all__ = ["SimBackend"]
 
 
 class SimBackend(ExecutionBackend):
-    """Virtual-cluster execution: one simulated rank per partition."""
+    """Virtual-cluster execution: one simulated rank per task."""
 
     name = "sim"
     time_kind = "virtual"
 
     def __init__(
         self,
-        dag,
+        ctx,
         cost_model: CommCostModel | None = None,
         deadlock_timeout: float = 600.0,
         sanitize: bool = False,
@@ -53,14 +54,14 @@ class SimBackend(ExecutionBackend):
         injector: FaultInjector | None = None,
         engine: str = "loop",
     ) -> None:
-        super().__init__(dag, retry=retry, injector=injector, engine=engine)
+        super().__init__(ctx, retry=retry, injector=injector, engine=engine)
         if injector is not None and self.retry.task_deadline is not None:
             # Under fault injection a dead rank stalls its peers until
             # the recv timeout: bound that stall by the task deadline
             # so failed attempts surface quickly in real time.
             deadlock_timeout = min(deadlock_timeout, self.retry.task_deadline)
         self.cluster = SimCluster(
-            max(dag.n_parts, 1),
+            max(ctx.n_tasks, 1),
             cost_model=cost_model,
             deadlock_timeout=deadlock_timeout,
             sanitize=sanitize,
@@ -73,9 +74,9 @@ class SimBackend(ExecutionBackend):
         if injector is None:
             return spec
 
-        def kernel_with_faults(dag, part, **params):
-            injector.fire_kernel_fault(spec.name, part, attempt)
-            return spec.kernel(dag, part, **params)
+        def kernel_with_faults(ctx, task, **params):
+            injector.fire_kernel_fault(spec.name, task, attempt)
+            return spec.kernel(ctx, task, **params)
 
         return StageSpec(spec.name, kernel_with_faults, spec.merge)
 
@@ -85,10 +86,10 @@ class SimBackend(ExecutionBackend):
         # Engine resolution swaps the spec's primary kernel, so the
         # SPMD driver (and the serial fallback below) run the chosen
         # implementation unchanged; the sim ranks are threads sharing
-        # the master's graph, so the master-side sparse prime covers
+        # the master's context, so the master-side sparse prime covers
         # every rank.
         spec, _ = self._engine_spec(stage, engine)
-        dag = self.dag
+        ctx = self.ctx
         policy = self.retry
         report = FaultReport()
         failures: list[str] = []
@@ -97,28 +98,26 @@ class SimBackend(ExecutionBackend):
             # Snapshot the only state merges mutate, so a failed
             # attempt (even one that died mid-merge or mid-broadcast)
             # can be rolled back cleanly.
-            node_alive = dag.node_alive.copy()
-            edge_alive = dag.edge_alive.copy()
+            snapshot = tuple(a.copy() for a in ctx.state)
             if self.injector is not None:
-                for part in range(dag.n_parts):
-                    fault = self.injector.kernel_fault(spec.name, part, attempt)
+                for task in range(ctx.n_tasks):
+                    fault = self.injector.kernel_fault(spec.name, task, attempt)
                     if fault is not None:
-                        report.record_injected(fault.kind, spec.name, f"rank {part}")
+                        report.record_injected(fault.kind, spec.name, f"rank {task}")
                         if fault.kind == "hang":
-                            report.record_deadline(spec.name, f"rank {part}")
+                            report.record_deadline(spec.name, f"rank {task}")
                 self.injector.begin_attempt(spec.name, attempt)
             try:
                 results, stats = self.cluster.run(
-                    run_stage_on_comm, self._attempt_spec(spec, attempt), dag, **params
+                    run_stage_on_comm, self._attempt_spec(spec, attempt), ctx, **params
                 )
             except (RuntimeError, DeadlockError) as exc:
-                dag.node_alive = node_alive
-                dag.edge_alive = edge_alive
+                ctx.state = snapshot
                 failures.append(f"attempt {attempt}: {exc}")
                 if not policy.allows(attempt + 1):
                     if policy.fallback_serial:
                         report.record_fallback(spec.name, "stage")
-                        inner = SerialBackend(dag, retry=policy)
+                        inner = SerialBackend(ctx, retry=policy)
                         outcome = inner.run_stage(spec, **params)
                         self.fault_report.merge(report)
                         return StageOutcome(

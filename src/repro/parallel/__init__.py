@@ -1,17 +1,17 @@
-"""Real (OS-process) parallel execution of assembly work units.
+"""Execution of assembly work units: one task layer for every stage.
 
 The simulated-MPI layer (``repro.mpi``) models a cluster on threads and
-a virtual clock; this package runs the same independent work units on
-actual cores via :class:`concurrent.futures.ProcessPoolExecutor`.  Both
-layers share the scheduling helpers in :mod:`repro.parallel.schedule`.
+a virtual clock; this package runs the same independent work units
+in-process or on actual cores via
+:class:`concurrent.futures.ProcessPoolExecutor`.  Both layers share the
+scheduling helpers in :mod:`repro.parallel.schedule`.
 
-Two executor families live here:
-
-- :mod:`repro.parallel.executor` — subset-pair overlap work units for
-  the alignment stage;
-- :mod:`repro.parallel.backend` — the backend abstraction for the
-  distributed kernel/merge stages (``serial`` / ``sim`` / ``process``),
-  selected per run via ``AssemblyConfig.backend``.
+:mod:`repro.parallel.backend` holds the one backend abstraction
+(``serial`` / ``sim`` / ``process``): a kernel per task of a bound
+task context.  It runs the finish stages (a task per partition,
+selected per run via ``AssemblyConfig.backend``) and the align stage
+(a task per subset pair; :mod:`repro.parallel.executor` is the entry
+point of its pooled path).
 """
 
 from repro.parallel.backend import (
@@ -21,7 +21,6 @@ from repro.parallel.backend import (
     SerialBackend,
     StageOutcome,
     create_backend,
-    partition_costs,
 )
 from repro.parallel.executor import ExecutorStats, run_subset_pairs
 from repro.parallel.schedule import (
@@ -44,5 +43,4 @@ __all__ = [
     "SerialBackend",
     "ProcessBackend",
     "create_backend",
-    "partition_costs",
 ]

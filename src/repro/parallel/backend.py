@@ -1,48 +1,51 @@
-"""Execution backends for the distributed kernel/merge stages.
+"""Execution backends: one kernel per task of a bound task context.
 
-A backend takes a :class:`~repro.distributed.dgraph.\
-DistributedAssemblyGraph` and executes registered stages
-(:mod:`repro.distributed.stages`) against it.  Three implementations
-cover the repo's execution modes:
+A backend binds a task context (:mod:`repro.distributed.stages`) — the
+finish stages' :class:`~repro.distributed.dgraph.\
+DistributedAssemblyGraph` (a task per partition) or the align stage's
+:class:`~repro.align.overlapper.AlignTasks` (a task per subset pair) —
+and executes stages against it.  Three implementations cover the
+repo's execution modes:
 
 ``serial``
-    An in-process loop: kernels run per partition on the calling
-    thread, the merge applies immediately.  The baseline every other
-    backend must match bit for bit (and that ``process`` must beat on
+    An in-process loop: kernels run per task on the calling thread,
+    the merge applies immediately.  The baseline every other backend
+    must match bit for bit (and that ``process`` must beat on
     wall-clock — see ``repro bench finish``).
 
 ``sim``
-    The paper's virtual cluster: kernels run as SPMD rank functions on
-    :class:`~repro.mpi.SimCluster` threads, producing the *virtual*
-    elapsed times Fig. 6 plots.  Implemented in
-    :mod:`repro.mpi.stage_backend` and resolved lazily here so the
+    The paper's virtual cluster: kernels run as SPMD rank programs on
+    :class:`~repro.mpi.SimCluster` threads (one rank per task),
+    producing the *virtual* elapsed times Fig. 6 plots.  Implemented
+    in :mod:`repro.mpi.stage_backend` and resolved lazily here so the
     parallel layer carries no mpi import.
 
 ``process``
     Real OS parallelism: kernels ship to a ``fork``-context
     :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-    inherit the enriched assembly copy-on-write.  Each task sends only
-    the stage name, partition id, and current alive-masks, and returns
-    plain numpy proposal arrays; the master merges in-process.  Tasks
-    are submitted largest-partition-first (LPT order, shared with the
-    overlap executor's scheduling policy) so stragglers don't drain
-    the pool.
+    rebuild the context once from its ``worker_factory()`` (the
+    enriched assembly or the read set is inherited copy-on-write).
+    Each task sends only the stage spec, the task id and the context's
+    current ``state`` (the alive-masks for the finish stages, nothing
+    for align), and returns plain proposals; the master merges
+    in-process.  Tasks are submitted largest-first (LPT order by
+    ``task_costs()``) so stragglers don't drain the pool.
 
-All three produce byte-identical contigs and alive-masks because the
-kernels are pure and deterministic and merges consume proposals in
-partition order — the backend only changes *where* kernels run and
-which clock measures them.
+All three produce identical results because the kernels are pure and
+deterministic and merges consume proposals in task order — the
+backend only changes *where* kernels run and which clock measures
+them.
 
 Fault tolerance (docs/robustness.md): every backend wraps kernel
-execution in a :class:`~repro.faults.RetryPolicy` — failed partitions
-are retried with capped exponential backoff, the process backend
-detects dead pools (a worker SIGKILLed mid-stage), respawns its
-workers, and re-runs only the partitions that did not complete, and a
-partition that exhausts its retry budget falls back to the in-process
-serial loop.  Because kernels are pure, a failed attempt never leaves
-partial state behind; merges only run once every proposal is in.  The
-resulting contigs stay byte-identical to the fault-free serial run —
-the invariant ``tests/faults/test_chaos_equivalence.py`` enforces.
+execution in a :class:`~repro.faults.RetryPolicy` — failed tasks are
+retried with capped exponential backoff, the process backend detects
+dead pools (a worker SIGKILLed mid-stage), respawns its workers, and
+re-runs only the tasks that did not complete, and a task that exhausts
+its retry budget falls back to the in-process serial loop.  Because
+kernels are pure, a failed attempt never leaves partial state behind;
+merges only run once every proposal is in.  The resulting contigs stay
+byte-identical to the fault-free serial run — the invariant
+``tests/faults/test_chaos_equivalence.py`` enforces.
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ __all__ = [
     "SerialBackend",
     "ProcessBackend",
     "create_backend",
-    "partition_costs",
 ]
 
 #: the recognised backend names, in documentation order.
@@ -96,14 +98,8 @@ class StageOutcome:
     faults: FaultReport | None = None
 
 
-def partition_costs(dag) -> np.ndarray:
-    """Estimated kernel cost per partition: its alive-node count."""
-    labels = dag.labels[dag.node_alive]
-    return np.bincount(labels, minlength=dag.n_parts).astype(np.float64)
-
-
 class ExecutionBackend:
-    """Base class: binds a distributed graph and runs stages on it.
+    """Base class: binds a task context and runs stages on it.
 
     ``retry`` governs how kernel failures are handled (defaults to the
     standard :class:`~repro.faults.RetryPolicy`); ``injector``
@@ -120,14 +116,14 @@ class ExecutionBackend:
 
     def __init__(
         self,
-        dag,
+        ctx,
         retry: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
         engine: str = "loop",
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        self.dag = dag
+        self.ctx = ctx
         self.retry = retry if retry is not None else RetryPolicy()
         self.injector = injector
         self.engine = engine
@@ -147,7 +143,7 @@ class ExecutionBackend:
         eng = engine if engine is not None else self.engine
         spec = self._resolve(stage).with_engine(eng)
         if eng == "sparse":
-            self.dag.prime_sparse()
+            self.ctx.prime_sparse()
         return spec, eng
 
     def run_stage(
@@ -167,29 +163,29 @@ class ExecutionBackend:
     # -- shared retry machinery -----------------------------------------
 
     def _kernel_with_retry(
-        self, spec: StageSpec, part: int, params: dict, report: FaultReport
+        self, spec: StageSpec, task: int, params: dict, report: FaultReport
     ):
-        """Run one partition's kernel in-process under the retry policy.
+        """Run one task's kernel in-process under the retry policy.
 
         Kernels are pure, so a failed attempt leaves no state to roll
         back; injected faults surface as exceptions here (the worker
         crash / hang semantics belong to the process backend).  After
-        the budget is exhausted the partition either falls back to one
-        final un-injected in-process run (``fallback_serial``) or the
-        stage fails with :class:`StageExecutionError`.
+        the budget is exhausted the task either falls back to one final
+        un-injected in-process run (``fallback_serial``) or the stage
+        fails with :class:`StageExecutionError`.
         """
         policy = self.retry
-        where = f"part {part}"
+        where = f"task {task}"
         failures: list[str] = []
         attempt = 1
         while True:
             try:
                 if self.injector is not None:
-                    fault = self.injector.kernel_fault(spec.name, part, attempt)
+                    fault = self.injector.kernel_fault(spec.name, task, attempt)
                     if fault is not None:
                         report.record_injected(fault.kind, spec.name, where)
-                    self.injector.fire_kernel_fault(spec.name, part, attempt)
-                proposal = spec.kernel(self.dag, part, **params)
+                    self.injector.fire_kernel_fault(spec.name, task, attempt)
+                proposal = spec.kernel(self.ctx, task, **params)
             except Exception as exc:  # noqa: BLE001 - recorded and re-raised below
                 if isinstance(exc, DeadlineExceededError):
                     report.record_deadline(spec.name, where)
@@ -197,10 +193,10 @@ class ExecutionBackend:
                 if not policy.allows(attempt + 1):
                     if policy.fallback_serial:
                         report.record_fallback(spec.name, where)
-                        return spec.kernel(self.dag, part, **params)
+                        return spec.kernel(self.ctx, task, **params)
                     raise StageExecutionError(spec.name, attempt, failures) from exc
                 report.record_retry(spec.name, where, type(exc).__name__)
-                time.sleep(policy.backoff(attempt, token=part))
+                time.sleep(policy.backoff(attempt, token=task))
                 attempt += 1
                 continue
             if failures:
@@ -222,7 +218,7 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process loop over partitions; the equivalence baseline."""
+    """In-process loop over tasks; the equivalence baseline."""
 
     name = "serial"
     time_kind = "wall"
@@ -231,60 +227,56 @@ class SerialBackend(ExecutionBackend):
         self, stage: StageSpec | str, engine: str | None = None, **params
     ) -> StageOutcome:
         spec, _ = self._engine_spec(stage, engine)
-        dag = self.dag
         report = FaultReport()
         t0 = time.perf_counter()
         proposals = [
-            self._kernel_with_retry(spec, part, params, report)
-            for part in range(dag.n_parts)
+            self._kernel_with_retry(spec, task, params, report)
+            for task in range(self.ctx.n_tasks)
         ]
-        result = spec.merge(dag, proposals, **params)
+        result = spec.merge(self.ctx, proposals, **params)
         return self._finish_outcome(spec, result, time.perf_counter() - t0, report)
 
 
-#: per-worker state installed by the pool initializer (fork-inherited).
+#: per-worker task context installed by the pool initializer.
 _WORKER: dict = {}
 
 
-def _init_stage_worker(assembly, labels) -> None:
-    """Prime one worker with its own distributed view of the graph.
+def _init_task_worker(factory, args) -> None:
+    """Prime one worker with its own copy of the task context.
 
-    Under ``fork`` the (large, immutable) assembly is inherited
-    copy-on-write; only this view object is constructed per worker.
+    Under ``fork`` the large, immutable inputs (enriched assembly,
+    read set) are inherited copy-on-write; only the context object is
+    constructed per worker.
     """
-    from repro.distributed.dgraph import DistributedAssemblyGraph
-
-    _WORKER["dag"] = DistributedAssemblyGraph(assembly, labels)
+    _WORKER["ctx"] = factory(*args)
 
 
-def _run_stage_task(
-    stage_name: str,
-    part: int,
-    node_alive,
-    edge_alive,
+def _run_task(
+    spec: StageSpec,
+    task: int,
+    state,
     params,
     plan,
     attempt,
     engine: str = "loop",
 ):
-    """Execute one (stage, partition) kernel inside a worker process.
+    """Execute one (stage, task) kernel inside a worker process.
 
-    The master's current alive-masks travel with the task (they are
-    the only state stages mutate), so sequential stages see each
+    The master's current context ``state`` travels with the task (it
+    is the only state stages mutate), so sequential stages see each
     other's removals without re-priming the pool.  ``plan``/``attempt``
     drive fault injection: a "crash" fault really SIGKILLs this
-    worker, a "hang" really sleeps past the deadline.  ``engine``
-    picks the kernel implementation; the sparse structure is primed
-    once per worker and reused across tasks (it is mask-independent).
+    worker, a "hang" really sleeps past the deadline.  ``spec`` is the
+    engine-resolved stage; under the sparse engine the mask-independent
+    structure is primed once per worker and reused across tasks.
     """
     if plan is not None:
-        apply_kernel_fault_in_worker(plan, stage_name, part, attempt)
-    dag = _WORKER["dag"]
-    dag.node_alive = node_alive
-    dag.edge_alive = edge_alive
+        apply_kernel_fault_in_worker(plan, spec.name, task, attempt)
+    ctx = _WORKER["ctx"]
+    ctx.state = state
     if engine == "sparse":
-        dag.prime_sparse()
-    return get_stage(stage_name).kernel_for(engine)(dag, part, **params)
+        ctx.prime_sparse()
+    return spec.kernel(ctx, task, **params)
 
 
 def _warmup_worker() -> int:
@@ -292,7 +284,7 @@ def _warmup_worker() -> int:
 
 
 def _pool_context():
-    """Prefer ``fork`` (cheap copy-on-write inheritance of the graph)."""
+    """Prefer ``fork`` (cheap copy-on-write inheritance of the context)."""
     import multiprocessing
 
     try:
@@ -305,19 +297,18 @@ class ProcessBackend(ExecutionBackend):
     """Kernels on real OS processes; merges on the calling process.
 
     The pool is created lazily on the first stage and reused across
-    stages (workers are re-synchronised through the masks shipped with
-    each task).  ``workers=0`` uses one process per partition, capped
-    at the core count.
+    stages (workers are re-synchronised through the state shipped with
+    each task).  ``workers=0`` uses one process per task, capped at
+    the core count.
 
-    Fault tolerance: each round submits every unfinished partition,
+    Fault tolerance: each round submits every unfinished task,
     collects results under the policy's per-task deadline, and reacts
     per failure class — a clean worker exception retries just that
-    partition; a broken pool (worker SIGKILLed) or a missed deadline
-    (hung worker) kills and respawns the pool and re-runs only the
-    partitions that never completed.  A partition that exhausts its
-    attempts (or a pool that keeps dying) falls back to the in-process
-    serial loop, so the stage completes whenever the kernels themselves
-    are sound.
+    task; a broken pool (worker SIGKILLed) or a missed deadline (hung
+    worker) kills and respawns the pool and re-runs only the tasks
+    that never completed.  A task that exhausts its attempts (or a
+    pool that keeps dying) falls back to the in-process serial loop,
+    so the stage completes whenever the kernels themselves are sound.
     """
 
     name = "process"
@@ -325,17 +316,17 @@ class ProcessBackend(ExecutionBackend):
 
     def __init__(
         self,
-        dag,
+        ctx,
         workers: int = 0,
         retry: RetryPolicy | None = None,
         injector: FaultInjector | None = None,
         engine: str = "loop",
     ) -> None:
-        super().__init__(dag, retry=retry, injector=injector, engine=engine)
+        super().__init__(ctx, retry=retry, injector=injector, engine=engine)
         if workers < 0:
             raise ValueError("workers must be non-negative")
         cores = os.cpu_count() or 1
-        self.n_workers = workers if workers > 0 else min(dag.n_parts, cores)
+        self.n_workers = workers if workers > 0 else min(ctx.n_tasks, cores)
         self._pool: ProcessPoolExecutor | None = None
 
     @property
@@ -347,8 +338,8 @@ class ProcessBackend(ExecutionBackend):
             pool = ProcessPoolExecutor(
                 max_workers=self.n_workers,
                 mp_context=_pool_context(),
-                initializer=_init_stage_worker,
-                initargs=(self.dag.assembly, self.dag.labels),
+                initializer=_init_task_worker,
+                initargs=self.ctx.worker_factory(),
             )
             # Spawn (and fork-prime) every worker up front so the fork
             # cost lands in backend setup, not in the first stage's
@@ -384,12 +375,11 @@ class ProcessBackend(ExecutionBackend):
         self, stage: StageSpec | str, engine: str | None = None, **params
     ) -> StageOutcome:
         spec, eng = self._engine_spec(stage, engine)
-        dag = self.dag
-        if dag.n_parts <= 1 or self.n_workers <= 1:
+        if self.ctx.n_tasks <= 1 or self.n_workers <= 1:
             # Nothing to parallelise: run in-process, same clock kind,
             # same retry/injection semantics.
             inner = SerialBackend(
-                dag, retry=self.retry, injector=self.injector, engine=eng
+                self.ctx, retry=self.retry, injector=self.injector, engine=eng
             )
             outcome = inner.run_stage(spec, **params)
             self.fault_report.merge(inner.fault_report)
@@ -397,77 +387,76 @@ class ProcessBackend(ExecutionBackend):
         report = FaultReport()
         t0 = time.perf_counter()
         proposals = self._collect_proposals(spec, params, report, eng)
-        result = spec.merge(dag, proposals, **params)
+        result = spec.merge(self.ctx, proposals, **params)
         return self._finish_outcome(spec, result, time.perf_counter() - t0, report)
 
     def _collect_proposals(
         self, spec: StageSpec, params: dict, report: FaultReport, engine: str = "loop"
     ) -> list:
-        """Run every partition's kernel to completion, surviving faults."""
-        dag = self.dag
+        """Run every task's kernel to completion, surviving faults."""
+        ctx = self.ctx
         policy = self.retry
-        proposals: list = [None] * dag.n_parts
-        attempt = {part: 1 for part in range(dag.n_parts)}
+        proposals: list = [None] * ctx.n_tasks
+        attempt = {task: 1 for task in range(ctx.n_tasks)}
         failed_once: set[int] = set()
         failures: list[str] = []
-        pending = set(range(dag.n_parts))
+        pending = set(range(ctx.n_tasks))
         respawns = 0
         # A pool that keeps dying stops being a useful execution
-        # substrate regardless of which partition is at fault.
+        # substrate regardless of which task is at fault.
         max_respawns = max(policy.max_attempts, 2)
 
         while pending:
             over_budget = [p for p in sorted(pending) if not policy.allows(attempt[p])]
-            for part in over_budget:
+            for task in over_budget:
                 if not policy.fallback_serial:
                     raise StageExecutionError(
-                        spec.name, attempt[part] - 1, failures or ["worker pool failure"]
+                        spec.name, attempt[task] - 1, failures or ["worker pool failure"]
                     )
-                report.record_fallback(spec.name, f"part {part}")
-                proposals[part] = spec.kernel(dag, part, **params)
-                pending.discard(part)
+                report.record_fallback(spec.name, f"task {task}")
+                proposals[task] = spec.kernel(ctx, task, **params)
+                pending.discard(task)
             if not pending:
                 break
             if respawns > max_respawns:
-                for part in sorted(pending):
+                for task in sorted(pending):
                     if not policy.fallback_serial:
                         raise StageExecutionError(
                             spec.name,
-                            attempt[part],
+                            attempt[task],
                             failures + ["worker pool kept dying"],
                         )
-                    report.record_fallback(spec.name, f"part {part}")
-                    proposals[part] = spec.kernel(dag, part, **params)
+                    report.record_fallback(spec.name, f"task {task}")
+                    proposals[task] = spec.kernel(ctx, task, **params)
                 pending.clear()
                 break
 
             pool = self._ensure_pool()
-            costs = partition_costs(dag)
+            costs = ctx.task_costs()
             submit_order = [
                 p for p in np.argsort(-costs, kind="stable").tolist() if p in pending
             ]
             expected = {
-                part: (
-                    self.injector.kernel_fault(spec.name, part, attempt[part])
+                task: (
+                    self.injector.kernel_fault(spec.name, task, attempt[task])
                     if self.injector is not None
                     else None
                 )
-                for part in submit_order
+                for task in submit_order
             }
             try:
                 futures = {
-                    part: pool.submit(
-                        _run_stage_task,
-                        spec.name,
-                        part,
-                        dag.node_alive,
-                        dag.edge_alive,
+                    task: pool.submit(
+                        _run_task,
+                        spec,
+                        task,
+                        ctx.state,
                         params,
                         self._plan,
-                        attempt[part],
+                        attempt[task],
                         engine,
                     )
-                    for part in submit_order
+                    for task in submit_order
                 }
             except BrokenProcessPool:
                 # A worker died while the pool was idle (e.g. an external
@@ -480,23 +469,23 @@ class ProcessBackend(ExecutionBackend):
                 continue
             pool_down = False
             round_failed = False
-            for part in sorted(futures):
+            for task in sorted(futures):
                 if pool_down:
                     break  # remaining futures died with the pool
-                where = f"part {part}"
+                where = f"task {task}"
                 try:
-                    proposals[part] = futures[part].result(
+                    proposals[task] = futures[task].result(
                         timeout=policy.task_deadline
                     )
                 except concurrent.futures.TimeoutError:
                     # Hung worker: only a pool kill can reclaim it.  The
-                    # timeout may surface on an innocent partition queued
+                    # timeout may surface on an innocent task queued
                     # behind the hung one, so charge the failure to every
-                    # pending partition with an expected hang (plus the
+                    # pending task with an expected hang (plus the
                     # one that timed out, hung or just queue-starved).
                     round_failed = True
                     report.record_deadline(spec.name, where)
-                    blamed = {part} | {
+                    blamed = {task} | {
                         p
                         for p in pending
                         if expected.get(p) is not None
@@ -505,14 +494,14 @@ class ProcessBackend(ExecutionBackend):
                     for p in sorted(blamed):
                         if expected.get(p) is not None:
                             report.record_injected(
-                                expected[p].kind, spec.name, f"part {p}"
+                                expected[p].kind, spec.name, f"task {p}"
                             )
                         failures.append(
-                            f"part {p} attempt {attempt[p]}: task deadline "
+                            f"task {p} attempt {attempt[p]}: task deadline "
                             f"({policy.task_deadline}s) exceeded"
                         )
                         report.record_retry(
-                            spec.name, f"part {p}", "DeadlineExceeded"
+                            spec.name, f"task {p}", "DeadlineExceeded"
                         )
                         attempt[p] += 1
                         failed_once.add(p)
@@ -523,19 +512,19 @@ class ProcessBackend(ExecutionBackend):
                 except BrokenProcessPool:
                     # A worker died (injected SIGKILL or an external
                     # kill -9): every in-flight future is lost.  Charge
-                    # the crash to every pending partition whose plan
-                    # entry injected one (the broken pool surfaces on
-                    # whichever future is collected first, not
-                    # necessarily the partition that crashed).
+                    # the crash to every pending task whose plan entry
+                    # injected one (the broken pool surfaces on whichever
+                    # future is collected first, not necessarily the
+                    # task that crashed).
                     round_failed = True
                     for p in sorted(pending):
                         fault = expected.get(p)
                         if fault is not None and fault.kind == "crash":
-                            report.record_injected("crash", spec.name, f"part {p}")
+                            report.record_injected("crash", spec.name, f"task {p}")
                             failures.append(
-                                f"part {p} attempt {attempt[p]}: worker crashed"
+                                f"task {p} attempt {attempt[p]}: worker crashed"
                             )
-                            report.record_retry(spec.name, f"part {p}", "WorkerCrash")
+                            report.record_retry(spec.name, f"task {p}", "WorkerCrash")
                             attempt[p] += 1
                             failed_once.add(p)
                     self._discard_pool(kill=False)
@@ -546,17 +535,17 @@ class ProcessBackend(ExecutionBackend):
                     # The task itself raised (transient kernel error):
                     # the pool is still healthy, keep collecting.
                     round_failed = True
-                    if expected.get(part) is not None:
+                    if expected.get(task) is not None:
                         report.record_injected(
-                            expected[part].kind, spec.name, where
+                            expected[task].kind, spec.name, where
                         )
-                    failures.append(f"{where} attempt {attempt[part]}: {exc}")
+                    failures.append(f"{where} attempt {attempt[task]}: {exc}")
                     report.record_retry(spec.name, where, type(exc).__name__)
-                    attempt[part] += 1
-                    failed_once.add(part)
+                    attempt[task] += 1
+                    failed_once.add(task)
                 else:
-                    pending.discard(part)
-                    if part in failed_once:
+                    pending.discard(task)
+                    if task in failed_once:
                         report.record_recovery(spec.name, where)
             if round_failed and pending:
                 time.sleep(
@@ -570,7 +559,7 @@ class ProcessBackend(ExecutionBackend):
 
 def create_backend(
     name: str,
-    dag,
+    ctx,
     *,
     workers: int = 0,
     cost_model=None,
@@ -579,7 +568,7 @@ def create_backend(
     injector: FaultInjector | None = None,
     engine: str = "loop",
 ) -> ExecutionBackend:
-    """Instantiate a backend by name for one distributed graph.
+    """Instantiate a backend by name for one task context.
 
     ``workers`` only affects ``process``; ``cost_model`` and
     ``sanitize`` only affect ``sim``.  ``retry``, ``injector``, and
@@ -587,10 +576,10 @@ def create_backend(
     backend.
     """
     if name == "serial":
-        return SerialBackend(dag, retry=retry, injector=injector, engine=engine)
+        return SerialBackend(ctx, retry=retry, injector=injector, engine=engine)
     if name == "process":
         return ProcessBackend(
-            dag, workers=workers, retry=retry, injector=injector, engine=engine
+            ctx, workers=workers, retry=retry, injector=injector, engine=engine
         )
     if name == "sim":
         # The sim adapter lives in the mpi layer; imported lazily so
@@ -598,7 +587,7 @@ def create_backend(
         from repro.mpi.stage_backend import SimBackend
 
         return SimBackend(
-            dag,
+            ctx,
             cost_model=cost_model,
             sanitize=sanitize,
             retry=retry,

@@ -1,35 +1,26 @@
-"""ProcessPoolExecutor-backed execution of overlap work units.
+"""Entry point of the pooled align path (paper §II-B).
 
-Each subset pair of the overlap stage is an independent work unit
-(paper §II-B); this module runs them on real OS processes.  Workers are
-primed once with the (config, reads) pair via the pool initializer —
-under the ``fork`` start method the read set is inherited copy-on-write
-and never pickled — and each task ships only its ``(i, j)`` pair ids
+Each subset pair of the overlap stage is one task of an
+:class:`~repro.align.overlapper.AlignTasks` context.  This module runs
+those tasks on :class:`~repro.parallel.backend.ProcessBackend`, the
+same backend the finish stages use: fork-primed workers that inherit
+the read set copy-on-write, largest-first submission, and per-task
+retry, pool respawn and serial fallback under the default
+:class:`~repro.faults.RetryPolicy`.  Each task ships only its pair id
 out and a :class:`~repro.align.overlap.PackedOverlaps` column batch
-back, so inter-process traffic stays flat in the number of overlaps.
-
-Work units are submitted largest-first (LPT order, estimated cost
-``|Q|·|R|``, self-pairs halved) so the big tasks never arrive last and
-leave the pool draining on one straggler.  Results are merged in
-canonical ``subset_pairs`` order, making the output list identical to
-the serial driver's.
+back, and results are merged in canonical ``subset_pairs`` order, so
+the output list is identical to the serial driver's.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.align.overlap import Overlap, PackedOverlaps
+from repro.align.overlap import Overlap
 from repro.io.readset import ReadSet
+from repro.parallel.backend import ProcessBackend
 
 __all__ = ["ExecutorStats", "run_subset_pairs"]
-
-#: per-worker state installed by the pool initializer.
-_WORKER: dict = {}
 
 
 @dataclass(frozen=True)
@@ -42,58 +33,6 @@ class ExecutorStats:
     overlaps: int
 
 
-def _init_worker(config, reads: ReadSet) -> None:
-    """Prime one worker process: detector + subset split, computed once.
-
-    A shard-backed ReadSet is re-opened by store path (``reopen``), so
-    the worker reads shards from disk through its own cold cache
-    instead of retaining the parent's mapped arrays or cache contents
-    inherited over ``fork`` — worker RSS stays O(cache budget).
-    """
-    from repro.align.overlapper import OverlapDetector
-
-    if hasattr(reads, "reopen"):
-        reads = reads.reopen()
-    _WORKER["detector"] = OverlapDetector(config)
-    _WORKER["reads"] = reads
-    _WORKER["subsets"] = reads.split(config.n_subsets)
-    _WORKER["ref_indexes"] = {}
-    _WORKER["query_batches"] = {}
-
-
-def _run_pair(pair: tuple[int, int]) -> tuple[PackedOverlaps, int]:
-    """Execute one subset-pair work unit inside a worker process.
-
-    Reference-subset indexes and query-subset k-mer batches are cached
-    per worker, so a worker that draws several pairs sharing a subset
-    prepares it once.
-    """
-    i, j = pair
-    detector, reads, subsets = _WORKER["detector"], _WORKER["reads"], _WORKER["subsets"]
-    index = _WORKER["ref_indexes"].get(j)
-    if index is None:
-        index = _WORKER["ref_indexes"][j] = detector._build_index(reads, subsets[j])
-    batch = None
-    if detector.config.engine != "loop":
-        batch = _WORKER["query_batches"].get(i)
-        if batch is None:
-            batch = _WORKER["query_batches"][i] = detector._query_batch(
-                reads, subsets[i]
-            )
-    return detector.overlap_subset_pair_packed(
-        reads, subsets[i], subsets[j], same_subset=(i == j),
-        index=index, query_batch=batch,
-    )
-
-
-def _pool_context():
-    """Prefer ``fork`` (cheap copy-on-write inheritance of the reads)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
 def run_subset_pairs(
     config, reads: ReadSet, n_workers: int
 ) -> tuple[list[Overlap], ExecutorStats]:
@@ -101,53 +40,21 @@ def run_subset_pairs(
 
     Returns the merged overlap list — identical, element for element,
     to ``OverlapDetector(config).find_overlaps(reads)`` — plus run
-    accounting.  ``n_workers <= 1`` short-circuits to in-process serial
-    execution (no pool is spawned).
+    accounting.  ``n_workers <= 1`` (or a single subset pair) runs the
+    tasks in-process; no pool is spawned.
     """
-    from repro.align.overlapper import OverlapDetector, subset_pairs
-    from repro.parallel.schedule import subset_pair_costs
+    from repro.align.overlapper import ALIGN_STAGE, AlignTasks
 
     if n_workers < 0:
         raise ValueError("n_workers must be non-negative")
-    subsets = reads.split(config.n_subsets)
-    pairs = subset_pairs(len(subsets))
-
-    if n_workers <= 1 or len(pairs) == 1:
-        detector = OverlapDetector(config)
-        overlaps = detector.find_overlaps(reads)
-        return overlaps, ExecutorStats(
-            n_workers=1,
-            n_tasks=len(pairs),
-            candidates=detector.last_candidates,
-            overlaps=len(overlaps),
-        )
-
-    costs = subset_pair_costs(pairs, np.array([s.size for s in subsets]))
-    submit_order = np.argsort(-costs, kind="stable").tolist()
-
-    packed_by_task: dict[int, tuple[PackedOverlaps, int]] = {}
-    max_workers = min(n_workers, len(pairs))
-    with ProcessPoolExecutor(
-        max_workers=max_workers,
-        mp_context=_pool_context(),
-        initializer=_init_worker,
-        initargs=(config, reads),
-    ) as pool:
-        futures = {
-            task: pool.submit(_run_pair, pairs[task]) for task in submit_order
-        }
-        for task, future in futures.items():
-            packed_by_task[task] = future.result()
-
-    overlaps: list[Overlap] = []
-    n_candidates = 0
-    for task in range(len(pairs)):
-        packed, nc = packed_by_task[task]
-        overlaps.extend(packed.to_overlaps())
-        n_candidates += nc
+    tasks = AlignTasks(config, reads)
+    workers = max(1, min(n_workers, tasks.n_tasks))
+    with ProcessBackend(tasks, workers=workers) as backend:
+        packed, n_candidates = backend.run_stage(ALIGN_STAGE).result
+    overlaps = packed.to_overlaps()
     return overlaps, ExecutorStats(
-        n_workers=max_workers,
-        n_tasks=len(pairs),
+        n_workers=workers,
+        n_tasks=tasks.n_tasks,
         candidates=n_candidates,
         overlaps=len(overlaps),
     )

@@ -1,8 +1,9 @@
-"""Property test: all four overlap execution paths agree exactly.
+"""Property test: every overlap execution path agrees exactly.
 
-The legacy per-query loop, the batch-vectorized engine, the
-multiprocess driver, and the simulated-cluster driver must return
-identical overlap sets for any read set and either reference index.
+The per-query loop oracle (``loop_oracle.py``) and the three drivers of
+the batch engine — serial, process backend, simulated cluster — must
+return identical overlaps and candidate counts for any read set and
+either reference index.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.mpi.cluster import SimCluster
 from repro.mpi.timing import CommCostModel
 from repro.sequence.dna import decode
 from repro.simulate.genome import random_genome
+from tests.align.loop_oracle import find_overlaps_loop
 
 FAST = CommCostModel(alpha=1e-6, beta=1e-9)
 
@@ -50,36 +52,34 @@ class TestEngineEquivalence:
         base = OverlapConfig(
             min_overlap=25, min_kmer_hits=2, n_subsets=n_subsets, index=index
         )
-        vectorized = OverlapDetector(base).find_overlaps(reads)
-        loop = OverlapDetector(
-            OverlapConfig(
-                min_overlap=25, min_kmer_hits=2, n_subsets=n_subsets,
-                index=index, engine="loop",
-            )
-        ).find_overlaps(reads)
-        processes = OverlapDetector(base).find_overlaps_processes(reads, n_workers=2)
+        serial_detector = OverlapDetector(base)
+        serial = serial_detector.find_overlaps(reads)
+        loop, loop_candidates = find_overlaps_loop(base, reads)
+        process_detector = OverlapDetector(base)
+        processes = process_detector.find_overlaps_processes(reads, n_workers=2)
+        sim_detector = OverlapDetector(base)
         cluster_results, _ = SimCluster(2, cost_model=FAST, sanitize=True).run(
-            OverlapDetector(base).find_overlaps_parallel, reads
+            sim_detector.find_overlaps_parallel, reads
         )
-        expected = overlap_keys(vectorized)
+        expected = overlap_keys(serial)
         assert overlap_keys(loop) == expected
-        assert overlap_keys(processes) == expected
+        assert processes == serial  # element for element, order included
         assert overlap_keys(cluster_results[0]) == expected
+        assert (
+            loop_candidates
+            == serial_detector.last_candidates
+            == process_detector.last_candidates
+            == sim_detector.last_candidates
+        )
 
     @settings(max_examples=3, deadline=None)
     @given(reads=genome_readsets())
     def test_banded_nw_method_paths_agree(self, index, reads):
-        # The gapped-verification fallback runs per candidate in every
-        # engine; the batched span selection feeding it must still agree.
-        configs = {
-            engine: OverlapConfig(
-                min_overlap=25, min_kmer_hits=2, method="banded_nw",
-                index=index, engine=engine,
-            )
-            for engine in ("vectorized", "loop")
-        }
-        results = {
-            engine: OverlapDetector(cfg).find_overlaps(reads)
-            for engine, cfg in configs.items()
-        }
-        assert overlap_keys(results["vectorized"]) == overlap_keys(results["loop"])
+        # The gapped-verification fallback runs per candidate in both
+        # engines; the batched span selection feeding it must still agree.
+        config = OverlapConfig(
+            min_overlap=25, min_kmer_hits=2, method="banded_nw", index=index
+        )
+        batch = OverlapDetector(config).find_overlaps(reads)
+        loop, _ = find_overlaps_loop(config, reads)
+        assert overlap_keys(batch) == overlap_keys(loop)

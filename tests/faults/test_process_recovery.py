@@ -5,6 +5,8 @@ they can kill real worker processes and inspect the pool.  The
 acceptance case is the external ``kill -9`` of a live worker: the
 backend must detect the broken pool, respawn its workers, re-run only
 the unfinished partitions, and still produce the exact serial masks.
+The align stage runs on the same backends, so a faulted subset pair is
+retried the same way and the overlap list stays identical.
 """
 
 import os
@@ -12,6 +14,7 @@ import signal
 
 import pytest
 
+from repro.align.overlapper import ALIGN_STAGE, AlignTasks, OverlapConfig, OverlapDetector
 from repro.distributed.dgraph import DistributedAssemblyGraph
 from repro.faults import (
     FaultInjector,
@@ -20,7 +23,9 @@ from repro.faults import (
     RetryPolicy,
     StageExecutionError,
 )
+from repro.io.readset import ReadSet
 from repro.parallel.backend import ProcessBackend, SerialBackend
+from tests.faults.conftest import small_reads
 
 #: the finish stage sequence with the pipeline's default parameters.
 STAGES = (
@@ -178,3 +183,32 @@ class TestBudgetExhaustion:
                 run_all_stages(backend)
         finally:
             backend.close()
+
+
+class TestAlignRetry:
+    @pytest.mark.parametrize(
+        "kind, workers",
+        [("error", 0), ("crash", 2)],
+        ids=["serial-error", "process-crash"],
+    )
+    def test_faulted_subset_pair_is_retried(self, kind, workers):
+        reads = ReadSet.from_reads(small_reads(genome_len=3000))
+        config = OverlapConfig(min_overlap=50, n_subsets=3)
+        clean = OverlapDetector(config).find_overlaps(reads)
+        plan = FaultPlan(kernel_faults=(KernelFault(kind, "align", 1),))
+        tasks = AlignTasks(config, reads)
+        injector = FaultInjector(plan)
+        if workers:
+            backend = ProcessBackend(
+                tasks, workers=workers, retry=FAST_RETRY, injector=injector
+            )
+        else:
+            backend = SerialBackend(tasks, retry=FAST_RETRY, injector=injector)
+        with backend:
+            packed, _ = backend.run_stage(ALIGN_STAGE).result
+        assert packed.to_overlaps() == clean
+        report = backend.fault_report
+        assert report.injected.get(kind) == 1
+        assert report.retries == 1
+        assert report.recovered_partitions == 1
+        assert report.fallbacks == 0

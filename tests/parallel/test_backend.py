@@ -9,7 +9,6 @@ from repro.parallel.backend import (
     SerialBackend,
     StageOutcome,
     create_backend,
-    partition_costs,
 )
 from tests.distributed.conftest import FAST, chain_assembly, dag_of
 
@@ -53,9 +52,9 @@ class TestSerialBackend:
 class TestPartitionCosts:
     def test_counts_alive_nodes_per_partition(self):
         dag = fresh_dag()
-        assert partition_costs(dag).tolist() == [3.0, 3.0]
+        assert dag.task_costs().tolist() == [3.0, 3.0]
         dag.node_alive[0] = False
-        assert partition_costs(dag).tolist() == [2.0, 3.0]
+        assert dag.task_costs().tolist() == [2.0, 3.0]
 
 
 class TestCreateBackend:

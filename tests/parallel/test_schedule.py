@@ -5,7 +5,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.align import overlapper
 from repro.align.overlapper import OverlapConfig, OverlapDetector, subset_pairs
+from repro.distributed.stages import StageSpec
 from repro.mpi.cluster import SimCluster
 from repro.mpi.timing import CommCostModel
 from repro.parallel.schedule import (
@@ -80,7 +82,7 @@ class TestLPT:
 
 
 class TestClusterScheduleImbalance:
-    def test_lpt_improves_compute_balance(self):
+    def test_lpt_improves_compute_balance(self, monkeypatch):
         # Per-rank work on the simulated cluster, counted rather than
         # timed: every subset pair a rank aligns inside
         # find_overlaps_parallel adds its estimated cost (|Q|·|R|,
@@ -88,16 +90,18 @@ class TestClusterScheduleImbalance:
         # spreads the 10 pairs perfectly; round-robin striping does not.
         reads, _ = tiled_reads(genome_len=4000, stride=20)
         detector = OverlapDetector(OverlapConfig(min_overlap=50, n_subsets=4))
-        pair_with_stats = detector._pair_with_stats
         current = threading.local()
         work: list[tuple[int, float]] = []
 
-        def counted(reads, query, ref, same_subset, **kw):
-            cost = subset_pair_costs([(0, int(not same_subset))], [query.size, ref.size])
-            work.append((current.rank, float(cost[0])))
-            return pair_with_stats(reads, query, ref, same_subset, **kw)
+        def counted(tasks, task):
+            work.append((current.rank, float(tasks.task_costs()[task])))
+            return overlapper.align_pair_kernel(tasks, task)
 
-        detector._pair_with_stats = counted
+        monkeypatch.setattr(
+            overlapper,
+            "ALIGN_STAGE",
+            StageSpec("align", counted, overlapper.merge_overlaps),
+        )
 
         def rank_fn(comm, schedule):
             current.rank = comm.rank
